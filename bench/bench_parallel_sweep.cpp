@@ -1,9 +1,10 @@
 // Scaling bench for the parallel sharded sweep executor: a GEANT
 // multi-failure stretch enumeration (the paper-trio comparison over every
-// connectivity-preserving k-failure combination) run serially and then on
-// SweepExecutor pools of 1/2/4/8 threads.
+// connectivity-preserving k-failure combination) run through the
+// executor-less signature (the same sweep on a private 1-thread executor,
+// reported as "serial") and then on SweepExecutor pools of 1/2/4/8 threads.
 //
-// Every parallel run is checked bit-identical to the serial sweep before its
+// Every pooled run is checked bit-identical to the "serial" sweep before its
 // timing is reported -- the executor's determinism contract is part of what
 // this bench certifies.  Emits BENCH_parallel_sweep.json (also printed):
 //

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   // `bench_scaling [threads]` (falls back to PR_SWEEP_THREADS; 0 = hardware):
   // the per-size stretch sweeps shard over the executor and stay
-  // bit-identical to the serial path at any thread count.
+  // bit-identical to a 1-thread sweep at any thread count.
   sim::SweepExecutor executor(sim::threads_from_arg(argc, argv, 1));
 
   std::cout << "Synthetic two-tier ISPs, 25 sampled single failures per size, "

@@ -9,7 +9,7 @@
 // matrix with demand-weighted load accumulation and is priced against the
 // plan: max link utilization, overloaded links, and delivered / lost /
 // stranded traffic volume.  Sweeps run on the parallel executor; the Abilene
-// single-link sweep is first checked bit-identical to the serial reference
+// single-link sweep is first checked bit-identical to the 1-thread sweep
 // (the determinism contract is part of what this bench certifies).
 //
 // Every sweep now runs twice: once through the full re-route oracle and once
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   }
 
   sim::SweepExecutor executor(threads);
-  // Telemetry rides along on every sweep (warmups and serial-reference runs
+  // Telemetry rides along on every sweep (warmups and 1-thread reference runs
   // included): route-cache hit rate, affected-flow fractions, forwarding hop
   // counts, and per-worker utilization all land in the JSON.
   obs::Registry registry;
@@ -254,12 +254,12 @@ int main(int argc, char** argv) {
                         "re-route oracle");
 
       // Determinism guard on the cheapest sweep: the executor result must be
-      // bit-identical to the serial reference path.
+      // bit-identical to the executor-less signature's 1-thread sweep.
       if (sweep.failures == 1 && t.name == std::string("abilene")) {
         require_identical(
             analysis::run_traffic_experiment(g, demand, plan, sweep.scenarios,
                                              protocols),
-            result, "parallel traffic sweep diverged from serial");
+            result, "parallel traffic sweep diverged from the 1-thread sweep");
       }
 
       double affected_fraction = 0.0;

@@ -75,8 +75,8 @@ inline int run_figure2_panel(const graph::Graph& g, const PanelConfig& cfg) {
   std::cout << "\n";
 
   // The scenario enumeration above is the work list; shard it across the
-  // sweep executor (per-scenario units, canonical-order merge, so the output
-  // matches the serial path bit for bit at any thread count).
+  // sweep executor (per-scenario units, canonical-order fold, so the output
+  // matches a 1-thread sweep bit for bit at any thread count).
   sim::SweepExecutor executor(cfg.threads);
   std::cout << "sweep: " << executor.thread_count() << " thread(s)\n\n";
   const auto result =

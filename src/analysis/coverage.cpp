@@ -49,39 +49,8 @@ void classify_batch(const sim::BatchResult& batch, const std::vector<char>& reco
 CoverageResult run_coverage_experiment(const graph::Graph& g,
                                        std::span<const graph::EdgeSet> scenarios,
                                        const std::vector<NamedFactory>& protocols) {
-  if (protocols.empty()) {
-    throw std::invalid_argument("run_coverage_experiment: no protocols given");
-  }
-  const route::RoutingDb pristine(g);
-
-  CoverageResult result;
-  result.scenarios = scenarios.size();
-  for (const auto& p : protocols) {
-    result.protocols.push_back(ProtocolCoverage{p.name, 0, 0, 0});
-  }
-
-  // Reused across scenarios and protocols: once warm, a sweep allocates
-  // nothing per trial, and reconverging protocols borrow delta-repaired
-  // tables from the cache.
-  std::vector<sim::FlowSpec> flows;
-  std::vector<char> recoverable;
-  sim::BatchResult batch;
-  route::ScenarioRoutingCache routing_cache;
-
-  for (const auto& failures : scenarios) {
-    net::Network network(g);
-    for (graph::EdgeId e : failures.elements()) network.fail_link(e);
-
-    collect_classified_flows(g, pristine, failures, flows, recoverable);
-    if (flows.empty()) continue;
-
-    for (std::size_t i = 0; i < protocols.size(); ++i) {
-      const auto instance = make_protocol(protocols[i], network, routing_cache);
-      sim::route_batch(network, *instance, flows, sim::TraceMode::kStats, batch);
-      classify_batch(batch, recoverable, result.protocols[i]);
-    }
-  }
-  return result;
+  sim::SweepExecutor executor(1);
+  return run_coverage_experiment(g, scenarios, protocols, executor);
 }
 
 CoverageResult run_coverage_experiment(const graph::Graph& g,
@@ -93,36 +62,43 @@ CoverageResult run_coverage_experiment(const graph::Graph& g,
   }
   const route::RoutingDb pristine(g);
 
-  // One accumulator row per scenario, written by exactly one worker each.
-  std::vector<std::vector<ProtocolCoverage>> partials(
-      scenarios.size(), std::vector<ProtocolCoverage>(protocols.size()));
+  CoverageResult result;
+  result.scenarios = scenarios.size();
+  for (const auto& p : protocols) {
+    result.protocols.push_back(ProtocolCoverage{p.name, 0, 0, 0});
+  }
 
-  executor.run(scenarios.size(), [&](std::size_t unit, sim::WorkerContext& ctx) {
+  // A ring of `window` slots hands each scenario's per-protocol counts from
+  // the worker that classified them to the canonical-order fold below.
+  const std::size_t window = executor.default_ordered_window();
+  std::vector<std::vector<ProtocolCoverage>> slots(window);
+
+  const sim::SweepExecutor::UnitFn unit_fn = [&](std::size_t unit,
+                                                 sim::WorkerContext& ctx) {
     const graph::EdgeSet& failures = scenarios[unit];
     net::Network network(g);
     for (graph::EdgeId e : failures.elements()) network.fail_link(e);
 
     collect_classified_flows(g, pristine, failures, ctx.flows, ctx.flags);
+    std::vector<ProtocolCoverage>& slot = slots[unit % window];
+    slot.assign(protocols.size(), ProtocolCoverage{});
     if (ctx.flows.empty()) return;
 
     for (std::size_t i = 0; i < protocols.size(); ++i) {
       const auto instance = make_protocol(protocols[i], network, ctx.routes);
       sim::route_batch(network, *instance, ctx.flows, sim::TraceMode::kStats,
                        ctx.batch);
-      classify_batch(ctx.batch, ctx.flags, partials[unit][i]);
+      classify_batch(ctx.batch, ctx.flags, slot[i]);
     }
-  });
-
-  CoverageResult result;
-  result.scenarios = scenarios.size();
-  for (const auto& p : protocols) {
-    result.protocols.push_back(ProtocolCoverage{p.name, 0, 0, 0});
-  }
-  for (const auto& shard : partials) {  // canonical scenario order
+  };
+  const sim::SweepExecutor::ReduceFn reduce_fn = [&](std::size_t unit) {
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      result.protocols[i].merge(shard[i]);
+      result.protocols[i].merge(slots[unit % window][i]);
     }
-  }
+  };
+  const sim::RunControl control;
+  sim::throw_if_incomplete(executor.run_ordered(scenarios.size(), unit_fn, reduce_fn,
+                                                control, nullptr, 0, window));
   return result;
 }
 

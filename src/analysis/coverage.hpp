@@ -44,8 +44,8 @@ struct ProtocolCoverage {
     return total() == 0 ? 1.0 : 0.0;
   }
 
-  /// Accumulates another shard's counts (same protocol); counters are
-  /// order-insensitive, but parallel sweeps still merge in canonical shard
+  /// Accumulates another scenario's counts (same protocol); counters are
+  /// order-insensitive, but the sweep still folds in canonical scenario
   /// order to honour the executor's determinism contract.
   void merge(const ProtocolCoverage& other) noexcept {
     delivered += other.delivered;
@@ -61,16 +61,17 @@ struct CoverageResult {
 
 /// Routes every affected ordered pair of every scenario under every protocol
 /// and classifies the outcomes.  Unlike the stretch experiment, scenarios may
-/// disconnect the graph.  This is the serial reference path; the executor
-/// overload below is bit-identical to it.
+/// disconnect the graph.  Runs the executor overload's sweep on a 1-thread
+/// executor.
 [[nodiscard]] CoverageResult run_coverage_experiment(
     const graph::Graph& g, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols);
 
-/// Parallel sharded variant: scenarios are work units on `executor`, each
-/// classified with the worker's reusable batch buffers; per-shard
-/// ProtocolCoverage accumulators merge in canonical scenario order.  Counts
-/// are identical to the serial overload for every thread count.
+/// The coverage sweep: scenarios are work units on `executor`, each
+/// classified with the worker's reusable batch buffers; per-scenario
+/// ProtocolCoverage counts fold in canonical scenario order.  Counts are
+/// identical for every thread count.  A failing scenario throws
+/// sim::SweepUnitError.
 [[nodiscard]] CoverageResult run_coverage_experiment(
     const graph::Graph& g, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor);

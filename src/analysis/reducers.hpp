@@ -171,8 +171,8 @@ class TopK {
 };
 
 /// Count / sum / extrema accumulator.  Sums are plain left-to-right doubles:
-/// fed in canonical order they are bit-identical to a serial sweep, which is
-/// the whole point.
+/// fed in canonical order they are bit-identical to a 1-thread sweep, which
+/// is the whole point.
 struct RunningSummary {
   std::size_t count = 0;
   double sum = 0.0;

@@ -15,73 +15,6 @@ namespace pr::analysis {
 
 namespace {
 
-/// One (scenario, protocol) cell of a storm sweep: the congestion metrics row
-/// plus the storm-specific extras (worst stretch, re-routed flow count).
-struct CellOutcome {
-  traffic::CongestionMetrics metrics;
-  double max_stretch = 1.0;
-  std::size_t rerouted = 0;
-};
-
-/// The incremental cell core, SRLG-grained: probe the per-group incidence for
-/// the flows this scenario's groups touch (the same set a per-edge probe of
-/// the failure union finds), re-route only those with full traces, then
-/// replay every flow in canonical flow order -- cached pristine rows for the
-/// untouched majority, fresh paths for the rest.  Identical floating-point
-/// sequence to analysis/traffic.hpp's incremental cell, with one extra
-/// output: the worst path-cost stretch among delivered affected flows.
-CellOutcome evaluate_storm_cell(
-    const graph::Graph& g, const net::Network& network,
-    std::span<const std::uint32_t> component, const NamedFactory& factory,
-    route::ScenarioRoutingCache& cache, const traffic::FlowIncidenceIndex& index,
-    const traffic::GroupIncidence& incidence, std::span<const std::size_t> groups,
-    std::span<const double> pristine_costs, std::span<const sim::FlowSpec> flows,
-    std::span<const double> demands, double offered_pps,
-    const traffic::CapacityPlan& plan, sim::BatchResult& batch,
-    traffic::LoadMap& load, traffic::IncidenceScratch& scratch) {
-  incidence.affected_flows(groups, scratch.affected_mark, scratch.affected);
-
-  batch.clear();
-  if (!scratch.affected.empty()) {
-    scratch.flows.clear();
-    for (const std::uint32_t f : scratch.affected) scratch.flows.push_back(flows[f]);
-    const auto instance = make_protocol(factory, network, cache);
-    sim::route_batch(network, *instance, scratch.flows, sim::TraceMode::kFullTrace,
-                     batch);
-  }
-
-  load.reset(g.dart_count());
-  CellOutcome out;
-  out.rerouted = scratch.affected.size();
-  traffic::CongestionMetrics& m = out.metrics;
-  m.offered_pps = offered_pps;
-  std::size_t a = 0;  // cursor into the re-routed batch
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    const double rate = demands[f];
-    bool delivered;
-    if (scratch.affected_mark[f] != 0) {
-      for (const graph::DartId d : batch.darts(a)) load.add(d, rate);
-      delivered = batch[a].delivered();
-      if (delivered && pristine_costs[f] > 0.0) {
-        out.max_stretch = std::max(out.max_stretch, batch[a].cost / pristine_costs[f]);
-      }
-      ++a;
-    } else {
-      for (const graph::DartId d : index.flow_darts(f)) load.add(d, rate);
-      delivered = index.pristine_delivered(f);
-    }
-    if (delivered) {
-      m.delivered_pps += rate;
-    } else if (component[flows[f].source] == component[flows[f].destination]) {
-      m.lost_pps += rate;
-    } else {
-      m.stranded_pps += rate;
-    }
-  }
-  traffic::apply_utilization(m, g, load, plan);
-  return out;
-}
-
 /// Shared pristine-pass products every storm driver needs per protocol: the
 /// flow incidence index, its SRLG-grained group view, and the per-flow
 /// pristine path costs the stretch metric divides by.
@@ -125,15 +58,7 @@ void validate_quantiles(const std::vector<double>& quantiles) {
 void validate_inputs(const graph::Graph& g, const traffic::TrafficMatrix& demand,
                      const traffic::CapacityPlan& plan, const net::StormModel& model,
                      const std::vector<NamedFactory>& protocols) {
-  if (protocols.empty()) {
-    throw std::invalid_argument("storm sweep: no protocols given");
-  }
-  if (demand.node_count() != g.node_count()) {
-    throw std::invalid_argument("storm sweep: demand matrix does not cover the graph");
-  }
-  if (plan.edge_count() != g.edge_count()) {
-    throw std::invalid_argument("storm sweep: capacity plan does not cover the graph");
-  }
+  validate_demand_sweep("storm sweep", g, demand, plan, protocols);
   if (&model.catalog().graph() != &g) {
     throw std::invalid_argument("storm sweep: storm model is over a different graph");
   }
@@ -413,9 +338,7 @@ StormRunResult run_storm_experiment_resilient(
 
   std::vector<sim::FlowSpec> flows;
   std::vector<double> demands;
-  collect_demand_flows(demand, flows, demands);
-  double offered = 0.0;
-  for (const double d : demands) offered += d;
+  const double offered = collect_demand_flows(demand, flows, demands);
 
   // Pristine-pass products, built once and shared read-only by all workers.
   route::ScenarioRoutingCache pristine_cache;
@@ -433,10 +356,11 @@ StormRunResult run_storm_experiment_resilient(
     traffic::LoadMap load;
     traffic::IncidenceScratch scratch;
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      pristine_cells[i] = evaluate_storm_cell(
+      indexes[i].groups.affected_flows({}, scratch.affected_mark, scratch.affected);
+      pristine_cells[i] = price_incremental_cell(
           g, pristine, pristine_component, protocols[i], pristine_cache,
-          indexes[i].flows, indexes[i].groups, {}, indexes[i].pristine_costs, flows,
-          demands, offered, plan, batch, load, scratch);
+          indexes[i].flows, flows, demands, offered, plan, indexes[i].pristine_costs,
+          batch, load, scratch);
     }
   }
 
@@ -535,11 +459,12 @@ StormRunResult run_storm_experiment_resilient(
     slot.disconnected =
         graph::connected_components_into(g, &ws.sample.failures, ws.components) > 1;
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      slot.cells[i] = evaluate_storm_cell(
+      indexes[i].groups.affected_flows(slot.groups, ctx.incidence.affected_mark,
+                                       ctx.incidence.affected);
+      slot.cells[i] = price_incremental_cell(
           g, network, ws.components.component, protocols[i], ctx.routes,
-          indexes[i].flows, indexes[i].groups, slot.groups,
-          indexes[i].pristine_costs, flows, demands, offered, plan, ctx.batch,
-          ctx.load, ctx.incidence);
+          indexes[i].flows, flows, demands, offered, plan, indexes[i].pristine_costs,
+          ctx.batch, ctx.load, ctx.incidence);
     }
     for (const graph::EdgeId e : ws.sample.failures.elements()) {
       network.restore_link(e);
@@ -574,19 +499,13 @@ StormRunResult run_storm_experiment_resilient(
     }
   };
 
-  if (remaining == 0) {
-    run.outcome.stop_reason = sim::StopReason::kCompleted;
-  } else if (options.control == nullptr) {
-    // Uncontrolled: the legacy run_ordered, with its rethrow-on-error
-    // semantics (SweepUnitError) preserved exactly.
-    executor.run_ordered(remaining, unit_fn, reduce_fn, config.seed);
-    run.outcome.completed_units = remaining;
-  } else if (options.persist_checkpoint && options.checkpoint_cadence.any()) {
-    // Periodic durability: the monitor thread seals the reducers at its
-    // watermark k (under the executor's reduce lock, so the blob is exactly
-    // the prefix [0, k)) and hands the ABSOLUTE cursor offset + k to the
-    // caller's persist hook off-lock.
-    sim::AutoCheckpoint auto_ckpt;
+  // Periodic durability, when asked for: the monitor thread seals the
+  // reducers at its watermark k (under the executor's reduce lock, so the
+  // blob is exactly the prefix [0, k)) and hands the ABSOLUTE cursor
+  // offset + k to the caller's persist hook off-lock.  Without a persist hook
+  // or cadence the checkpoint is inactive and the executor ignores it.
+  sim::AutoCheckpoint auto_ckpt;
+  if (options.persist_checkpoint) {
     auto_ckpt.cadence = options.checkpoint_cadence;
     auto_ckpt.serialize = [&](std::size_t k) {
       return serialize_storm_state(state, offset + k, config, protocols,
@@ -595,12 +514,15 @@ StormRunResult run_storm_experiment_resilient(
     auto_ckpt.persist = [&](std::size_t k, std::string&& blob) {
       options.persist_checkpoint(offset + k, std::move(blob));
     };
-    run.outcome = executor.run_ordered(remaining, unit_fn, reduce_fn,
-                                       *options.control, auto_ckpt, config.seed);
-  } else {
-    run.outcome = executor.run_ordered(remaining, unit_fn, reduce_fn,
-                                       *options.control, config.seed);
   }
+  // An uncontrolled run is all or nothing: it runs under a default control
+  // and a failed scenario throws sim::SweepUnitError.
+  const sim::RunControl uncontrolled;
+  run.outcome = executor.run_ordered(
+      remaining, unit_fn, reduce_fn,
+      options.control != nullptr ? *options.control : uncontrolled, &auto_ckpt,
+      config.seed, window);
+  if (options.control == nullptr) sim::throw_if_incomplete(run.outcome);
   state.completed = offset + run.outcome.completed_units;
   run.completed_scenarios = state.completed;
 
@@ -647,9 +569,7 @@ StormOracleResult run_exhaustive_storm(const graph::Graph& g,
 
   std::vector<sim::FlowSpec> flows;
   std::vector<double> demands;
-  collect_demand_flows(demand, flows, demands);
-  double offered = 0.0;
-  for (const double d : demands) offered += d;
+  const double offered = collect_demand_flows(demand, flows, demands);
 
   route::ScenarioRoutingCache cache;
   const std::vector<ProtocolIndex> indexes =
@@ -688,10 +608,12 @@ StormOracleResult run_exhaustive_storm(const graph::Graph& g,
     graph::connected_components_into(g, &failures, components);
 
     for (std::size_t i = 0; i < protocols.size(); ++i) {
-      const CellOutcome cell = evaluate_storm_cell(
+      indexes[i].groups.affected_flows(scenario.groups, scratch.affected_mark,
+                                       scratch.affected);
+      const CellOutcome cell = price_incremental_cell(
           g, network, components.component, protocols[i], cache, indexes[i].flows,
-          indexes[i].groups, scenario.groups, indexes[i].pristine_costs, flows,
-          demands, offered, plan, batch, load, scratch);
+          flows, demands, offered, plan, indexes[i].pristine_costs, batch, load,
+          scratch);
       StormOracleProtocol& p = result.protocols[i];
       const double w = scenario.probability;
       p.mean_max_utilization += w * cell.metrics.max_utilization;

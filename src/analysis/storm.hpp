@@ -137,8 +137,8 @@ struct StormExperimentResult {
 /// Knobs for a resilient storm run.
 struct StormRunOptions {
   /// Stop signals + error policy + fault plan for the sweep; nullptr runs
-  /// uncontrolled (to completion, worker exceptions rethrown as
-  /// sim::SweepUnitError like run_storm_experiment).
+  /// all or nothing under a default control (to completion, or a failed
+  /// scenario throws sim::SweepUnitError like run_storm_experiment).
   const sim::RunControl* control = nullptr;
   /// A checkpoint blob from a previous StormRunResult to resume from; empty
   /// starts fresh.  The blob must match this experiment exactly (same seed,

@@ -85,51 +85,8 @@ void collect_affected_flows(const graph::Graph& g, const route::RoutingDb& prist
 StretchExperimentResult run_stretch_experiment(
     const graph::Graph& g, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols) {
-  if (protocols.empty()) {
-    throw std::invalid_argument("run_stretch_experiment: no protocols given");
-  }
-  const route::RoutingDb pristine(g);
-
-  StretchExperimentResult result;
-  result.protocols.reserve(protocols.size());
-  for (const auto& p : protocols) result.protocols.push_back(ProtocolStretch{p.name, {}, 0, 0});
-  result.scenarios = scenarios.size();
-
-  // Reused across scenarios and protocols: once warm, a sweep allocates
-  // nothing per trial (the point of the stats-only batched engine), and
-  // reconverging protocols borrow delta-repaired tables from the cache
-  // instead of rebuilding n Dijkstras per scenario.
-  std::vector<sim::FlowSpec> flows;
-  std::vector<double> base_costs;
-  sim::BatchResult batch;
-  route::ScenarioRoutingCache routing_cache;
-
-  for (const auto& failures : scenarios) {
-    net::Network network(g);
-    for (graph::EdgeId e : failures.elements()) network.fail_link(e);
-
-    collect_affected_flows(g, pristine, failures, flows, base_costs);
-    result.affected_pairs += flows.size();
-    if (flows.empty()) continue;
-
-    // Fresh protocol instances see this scenario's link state at build time
-    // (ReconvergedRouting borrows its post-convergence tables here).
-    for (std::size_t i = 0; i < protocols.size(); ++i) {
-      const auto instance = make_protocol(protocols[i], network, routing_cache);
-      sim::route_batch(network, *instance, flows, sim::TraceMode::kStats, batch);
-      auto& agg = result.protocols[i];
-      for (std::size_t f = 0; f < batch.size(); ++f) {
-        if (batch[f].delivered()) {
-          ++agg.delivered;
-          agg.stretches.push_back(batch[f].cost / base_costs[f]);
-        } else {
-          ++agg.dropped;
-          agg.stretches.push_back(std::numeric_limits<double>::infinity());
-        }
-      }
-    }
-  }
-  return result;
+  sim::SweepExecutor executor(1);
+  return run_stretch_experiment(g, scenarios, protocols, executor);
 }
 
 StretchExperimentResult run_stretch_experiment(
@@ -140,70 +97,69 @@ StretchExperimentResult run_stretch_experiment(
   }
   const route::RoutingDb pristine(g);
 
-  // One slot per scenario, written by exactly one worker each; stretch
-  // samples land here in the serial sweep's per-scenario order.
-  struct ScenarioPartial {
+  StretchExperimentResult result;
+  result.scenarios = scenarios.size();
+  result.protocols.reserve(protocols.size());
+  for (const auto& p : protocols) result.protocols.push_back(ProtocolStretch{p.name, {}, 0, 0});
+
+  // A ring of `window` slots hands each scenario's samples, in flow order,
+  // from the worker that routed them to the canonical-order fold below.
+  struct Slot {
     std::size_t affected = 0;
     std::vector<std::size_t> delivered;          // per protocol
     std::vector<std::vector<double>> stretches;  // per protocol, in flow order
   };
-  std::vector<ScenarioPartial> partials(scenarios.size());
+  const std::size_t window = executor.default_ordered_window();
+  std::vector<Slot> slots(window);
 
-  executor.run(scenarios.size(), [&](std::size_t unit, sim::WorkerContext& ctx) {
+  const sim::SweepExecutor::UnitFn unit_fn = [&](std::size_t unit,
+                                                 sim::WorkerContext& ctx) {
     const graph::EdgeSet& failures = scenarios[unit];
     net::Network network(g);
     for (graph::EdgeId e : failures.elements()) network.fail_link(e);
 
     collect_affected_flows(g, pristine, failures, ctx.flows, ctx.base_costs);
-    ScenarioPartial& partial = partials[unit];
-    partial.affected = ctx.flows.size();
-    partial.delivered.assign(protocols.size(), 0);
-    partial.stretches.resize(protocols.size());
+    Slot& slot = slots[unit % window];
+    slot.affected = ctx.flows.size();
+    slot.delivered.assign(protocols.size(), 0);
+    slot.stretches.resize(protocols.size());
+    for (auto& samples : slot.stretches) samples.clear();
     if (ctx.flows.empty()) return;
 
     for (std::size_t i = 0; i < protocols.size(); ++i) {
+      // Fresh protocol instances see this scenario's link state at build
+      // time; reconverging ones borrow delta-repaired tables from the
+      // worker's cache instead of rebuilding n Dijkstras per scenario.
       const auto instance = make_protocol(protocols[i], network, ctx.routes);
       sim::route_batch(network, *instance, ctx.flows, sim::TraceMode::kStats,
                        ctx.batch);
-      auto& samples = partial.stretches[i];
-      samples.reserve(ctx.batch.size());
+      auto& samples = slot.stretches[i];
       for (std::size_t f = 0; f < ctx.batch.size(); ++f) {
         if (ctx.batch[f].delivered()) {
-          ++partial.delivered[i];
+          ++slot.delivered[i];
           samples.push_back(ctx.batch[f].cost / ctx.base_costs[f]);
         } else {
           samples.push_back(std::numeric_limits<double>::infinity());
         }
       }
     }
-  });
-
-  // Canonical-order merge: concatenating per-scenario samples in scenario
-  // order reproduces the serial sweep's sample sequence exactly.
-  StretchExperimentResult result;
-  result.scenarios = scenarios.size();
-  result.protocols.reserve(protocols.size());
-  for (const auto& p : protocols) result.protocols.push_back(ProtocolStretch{p.name, {}, 0, 0});
-  for (std::size_t i = 0; i < protocols.size(); ++i) {
-    std::size_t samples = 0;
-    for (const ScenarioPartial& partial : partials) {
-      if (i < partial.stretches.size()) samples += partial.stretches[i].size();
+  };
+  // Appending each scenario's samples in scenario order yields one sample
+  // sequence for every thread count.
+  const sim::SweepExecutor::ReduceFn reduce_fn = [&](std::size_t unit) {
+    const Slot& slot = slots[unit % window];
+    result.affected_pairs += slot.affected;
+    for (std::size_t i = 0; i < protocols.size(); ++i) {
+      ProtocolStretch& agg = result.protocols[i];
+      agg.delivered += slot.delivered[i];
+      agg.dropped += slot.stretches[i].size() - slot.delivered[i];
+      agg.stretches.insert(agg.stretches.end(), slot.stretches[i].begin(),
+                           slot.stretches[i].end());
     }
-    result.protocols[i].stretches.reserve(samples);
-  }
-  for (ScenarioPartial& partial : partials) {
-    result.affected_pairs += partial.affected;
-    for (std::size_t i = 0; i < partial.stretches.size(); ++i) {
-      auto& agg = result.protocols[i];
-      agg.delivered += partial.delivered[i];
-      agg.dropped += partial.stretches[i].size() - partial.delivered[i];
-      agg.stretches.insert(agg.stretches.end(), partial.stretches[i].begin(),
-                           partial.stretches[i].end());
-      // Release each shard as it merges so peak memory tracks the serial
-      // sweep instead of holding a second full copy of the sample set.
-      std::vector<double>().swap(partial.stretches[i]);
-    }
-  }
+  };
+  const sim::RunControl control;
+  sim::throw_if_incomplete(executor.run_ordered(scenarios.size(), unit_fn, reduce_fn,
+                                                control, nullptr, 0, window));
   return result;
 }
 

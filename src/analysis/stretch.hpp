@@ -84,16 +84,17 @@ struct StretchExperimentResult {
 
 /// Runs every protocol over every failure scenario and every affected ordered
 /// source/destination pair, measuring the cost of the route each packet
-/// actually travelled against the pristine shortest-path cost.  This is the
-/// serial reference path; the executor overload below is bit-identical to it.
+/// actually travelled against the pristine shortest-path cost.  Runs the
+/// executor overload's sweep on a 1-thread executor.
 [[nodiscard]] StretchExperimentResult run_stretch_experiment(
     const graph::Graph& g, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols);
 
-/// Parallel sharded variant: scenarios are work units on `executor`, each
-/// routed with the worker's reusable batch buffers and merged in canonical
-/// scenario order.  Results (counts, stretch samples and their order) are
-/// bit-identical to the serial overload for every thread count.
+/// The stretch sweep: scenarios are work units on `executor`, each routed
+/// with the worker's reusable batch buffers and folded in canonical scenario
+/// order.  Results (counts, stretch samples and their order) are
+/// bit-identical for every thread count.  A failing scenario throws
+/// sim::SweepUnitError.
 [[nodiscard]] StretchExperimentResult run_stretch_experiment(
     const graph::Graph& g, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor);

@@ -1,5 +1,6 @@
 #include "analysis/traffic.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -11,19 +12,92 @@ namespace pr::analysis {
 
 using graph::NodeId;
 
-void collect_demand_flows(const traffic::TrafficMatrix& demand,
-                          std::vector<sim::FlowSpec>& flows,
-                          std::vector<double>& demands) {
+double collect_demand_flows(const traffic::TrafficMatrix& demand,
+                            std::vector<sim::FlowSpec>& flows,
+                            std::vector<double>& demands) {
   flows.clear();
   demands.clear();
+  double offered = 0.0;
   const std::size_t n = demand.node_count();
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId t = 0; t < n; ++t) {
       if (s == t || demand.demand(s, t) == 0.0) continue;
       flows.push_back(sim::FlowSpec{s, t});
       demands.push_back(demand.demand(s, t));
+      offered += demands.back();
     }
   }
+  return offered;
+}
+
+void validate_demand_sweep(const char* who, const graph::Graph& g,
+                           const traffic::TrafficMatrix& demand,
+                           const traffic::CapacityPlan& plan,
+                           const std::vector<NamedFactory>& protocols) {
+  if (protocols.empty()) {
+    throw std::invalid_argument(std::string(who) + ": no protocols given");
+  }
+  if (demand.node_count() != g.node_count()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": demand matrix does not cover the graph");
+  }
+  if (plan.edge_count() != g.edge_count()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": capacity plan does not cover the graph");
+  }
+}
+
+CellOutcome price_incremental_cell(
+    const graph::Graph& g, const net::Network& network,
+    std::span<const std::uint32_t> component, const NamedFactory& factory,
+    route::ScenarioRoutingCache& cache, const traffic::FlowIncidenceIndex& index,
+    std::span<const sim::FlowSpec> flows, std::span<const double> demands,
+    double offered_pps, const traffic::CapacityPlan& plan,
+    std::span<const double> pristine_costs, sim::BatchResult& batch,
+    traffic::LoadMap& load, traffic::IncidenceScratch& scratch) {
+  // Re-route the affected flows in canonical flow order.  When the scenario
+  // touches no pristine path there is nothing to re-route: the protocol
+  // instance (and any routing-table repair it would trigger) is skipped
+  // entirely and the replay below is the whole answer.
+  batch.clear();
+  if (!scratch.affected.empty()) {
+    scratch.flows.clear();
+    for (const std::uint32_t f : scratch.affected) scratch.flows.push_back(flows[f]);
+    const auto instance = make_protocol(factory, network, cache);
+    sim::route_batch(network, *instance, scratch.flows, sim::TraceMode::kFullTrace,
+                     batch);
+  }
+
+  load.reset(g.dart_count());
+  CellOutcome out;
+  out.rerouted = scratch.affected.size();
+  traffic::CongestionMetrics& m = out.metrics;
+  m.offered_pps = offered_pps;
+  std::size_t a = 0;  // cursor into the re-routed batch
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const double rate = demands[f];
+    bool delivered;
+    if (scratch.affected_mark[f] != 0) {
+      for (const graph::DartId d : batch.darts(a)) load.add(d, rate);
+      delivered = batch[a].delivered();
+      if (delivered && !pristine_costs.empty() && pristine_costs[f] > 0.0) {
+        out.max_stretch = std::max(out.max_stretch, batch[a].cost / pristine_costs[f]);
+      }
+      ++a;
+    } else {
+      for (const graph::DartId d : index.flow_darts(f)) load.add(d, rate);
+      delivered = index.pristine_delivered(f);
+    }
+    if (delivered) {
+      m.delivered_pps += rate;
+    } else if (component[flows[f].source] == component[flows[f].destination]) {
+      m.lost_pps += rate;
+    } else {
+      m.stranded_pps += rate;
+    }
+  }
+  traffic::apply_utilization(m, g, load, plan);
+  return out;
 }
 
 namespace {
@@ -61,64 +135,6 @@ traffic::CongestionMetrics route_cell(const graph::Graph& g,
       m.stranded_pps += demands[f];
     }
   }
-  return m;
-}
-
-/// The incremental counterpart: probe the pristine incidence index for the
-/// flows this scenario's failures actually touch, re-route ONLY those (full
-/// trace, so their fresh dart paths are known), then rebuild the scenario's
-/// LoadMap by replaying every flow in canonical flow order -- cached pristine
-/// rows for the untouched majority, the freshly routed paths for the rest.
-/// The replay performs the exact floating-point additions (same values, same
-/// order, per dart and per volume counter) that route_cell's full re-route
-/// performs, so the metrics row and load map are bit-identical to it.
-traffic::CongestionMetrics route_cell_incremental(
-    const graph::Graph& g, const net::Network& network,
-    std::span<const std::uint32_t> component, const NamedFactory& factory,
-    route::ScenarioRoutingCache& cache, const traffic::FlowIncidenceIndex& index,
-    std::span<const sim::FlowSpec> flows, std::span<const double> demands,
-    double offered_pps, const traffic::CapacityPlan& plan, sim::BatchResult& batch,
-    traffic::LoadMap& load, traffic::IncidenceScratch& scratch) {
-  index.affected_flows(network.failed_links(), scratch.affected_mark,
-                       scratch.affected);
-
-  // Re-route the affected flows in canonical flow order.  When the scenario
-  // touches no pristine path there is nothing to re-route: the protocol
-  // instance (and any routing-table repair it would trigger) is skipped
-  // entirely and the replay below is the whole answer.
-  batch.clear();
-  if (!scratch.affected.empty()) {
-    scratch.flows.clear();
-    for (const std::uint32_t f : scratch.affected) scratch.flows.push_back(flows[f]);
-    const auto instance = make_protocol(factory, network, cache);
-    sim::route_batch(network, *instance, scratch.flows, sim::TraceMode::kFullTrace,
-                     batch);
-  }
-
-  load.reset(g.dart_count());
-  traffic::CongestionMetrics m;
-  m.offered_pps = offered_pps;
-  std::size_t a = 0;  // cursor into the re-routed batch
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    const double rate = demands[f];
-    bool delivered;
-    if (scratch.affected_mark[f] != 0) {
-      for (const graph::DartId d : batch.darts(a)) load.add(d, rate);
-      delivered = batch[a].delivered();
-      ++a;
-    } else {
-      for (const graph::DartId d : index.flow_darts(f)) load.add(d, rate);
-      delivered = index.pristine_delivered(f);
-    }
-    if (delivered) {
-      m.delivered_pps += rate;
-    } else if (component[flows[f].source] == component[flows[f].destination]) {
-      m.lost_pps += rate;
-    } else {
-      m.stranded_pps += rate;
-    }
-  }
-  traffic::apply_utilization(m, g, load, plan);
   return m;
 }
 
@@ -165,98 +181,26 @@ std::vector<traffic::FlowIncidenceIndex> build_indexes(
   return indexes;
 }
 
-void validate(const graph::Graph& g, const traffic::TrafficMatrix& demand,
-              const traffic::CapacityPlan& plan,
-              const std::vector<NamedFactory>& protocols) {
-  if (protocols.empty()) {
-    throw std::invalid_argument("run_traffic_experiment: no protocols given");
-  }
-  if (demand.node_count() != g.node_count()) {
-    throw std::invalid_argument(
-        "run_traffic_experiment: demand matrix does not cover the graph");
-  }
-  if (plan.edge_count() != g.edge_count()) {
-    throw std::invalid_argument(
-        "run_traffic_experiment: capacity plan does not cover the graph");
-  }
-}
-
-double sum_in_order(std::span<const double> demands) {
-  double sum = 0.0;
-  for (double d : demands) sum += d;
-  return sum;
-}
-
-TrafficExperimentResult make_result(std::span<const graph::EdgeSet> scenarios,
-                                    const std::vector<NamedFactory>& protocols,
-                                    std::size_t flow_count, TrafficSweepMode mode) {
-  TrafficExperimentResult result;
-  result.scenarios = scenarios.size();
-  result.flows_per_scenario = flow_count;
-  result.mode = mode;
-  result.protocols.reserve(protocols.size());
-  for (const auto& p : protocols) {
-    ProtocolTraffic pt;
-    pt.name = p.name;
-    pt.per_scenario.reserve(scenarios.size());
-    result.protocols.push_back(std::move(pt));
-  }
-  return result;
-}
-
 }  // namespace
 
 TrafficExperimentResult run_traffic_experiment(
     const graph::Graph& g, const traffic::TrafficMatrix& demand,
     const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols, TrafficSweepMode mode) {
-  validate(g, demand, plan, protocols);
+  sim::SweepExecutor executor(1);
+  return run_traffic_experiment(g, demand, plan, scenarios, protocols, executor, mode);
+}
 
-  std::vector<sim::FlowSpec> flows;
-  std::vector<double> demands;
-  collect_demand_flows(demand, flows, demands);
-  const double offered = sum_in_order(demands);
-
-  TrafficExperimentResult result = make_result(scenarios, protocols, flows.size(), mode);
-
-  // Reused across scenarios and protocols; once warm, a scenario's routing
-  // allocates nothing beyond the per-scenario metric rows and component ids.
-  sim::BatchResult batch;
-  traffic::LoadMap load;
-  route::ScenarioRoutingCache cache;
-  traffic::IncidenceScratch scratch;
-  std::vector<traffic::FlowIncidenceIndex> indexes;
-  if (mode == TrafficSweepMode::kIncremental) {
-    indexes = build_indexes(g, protocols, flows, demands, cache);
-  }
-
-  for (const auto& failures : scenarios) {
-    net::Network network(g);
-    for (graph::EdgeId e : failures.elements()) network.fail_link(e);
-    const auto component = graph::connected_components(g, &failures);
-
-    for (std::size_t i = 0; i < protocols.size(); ++i) {
-      auto& agg = result.protocols[i];
-      if (mode == TrafficSweepMode::kFullReroute) {
-        agg.per_scenario.push_back(route_cell(g, network, component, protocols[i],
-                                              cache, flows, demands, offered, plan,
-                                              batch, load));
-        agg.rerouted_flows += flows.size();
-      } else {
-        agg.per_scenario.push_back(route_cell_incremental(
-            g, network, component, protocols[i], cache, indexes[i], flows,
-            demands, offered, plan, batch, load, scratch));
-        agg.rerouted_flows += scratch.affected.size();
-#ifndef NDEBUG
-        cross_check_incremental_cell(g, network, component, protocols[i], cache,
-                                     flows, demands, offered, plan,
-                                     agg.per_scenario.back(), load);
-#endif
-      }
-      agg.total_load.add(load);
-    }
-  }
-  return result;
+TrafficExperimentResult run_traffic_experiment(
+    const graph::Graph& g, const traffic::TrafficMatrix& demand,
+    const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,
+    const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor,
+    TrafficSweepMode mode) {
+  const sim::RunControl control;
+  TrafficRunResult run = run_traffic_experiment_resilient(
+      g, demand, plan, scenarios, protocols, executor, control, mode);
+  sim::throw_if_incomplete(run.outcome);
+  return std::move(run.result);
 }
 
 TrafficRunResult run_traffic_experiment_resilient(
@@ -264,12 +208,11 @@ TrafficRunResult run_traffic_experiment_resilient(
     const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor,
     const sim::RunControl& control, TrafficSweepMode mode) {
-  validate(g, demand, plan, protocols);
+  validate_demand_sweep("run_traffic_experiment", g, demand, plan, protocols);
 
   std::vector<sim::FlowSpec> flows;
   std::vector<double> demands;
-  collect_demand_flows(demand, flows, demands);
-  const double offered = sum_in_order(demands);
+  const double offered = collect_demand_flows(demand, flows, demands);
 
   // Per-protocol pristine indexes are built once, serially, then shared
   // read-only by every worker.
@@ -279,13 +222,25 @@ TrafficRunResult run_traffic_experiment_resilient(
     indexes = build_indexes(g, protocols, flows, demands, pristine_cache);
   }
 
-  // One slot per scenario, written by exactly one worker each.
-  struct ScenarioPartial {
-    std::vector<traffic::CongestionMetrics> metrics;    // per protocol
-    std::vector<traffic::LoadMapReduction> loads;       // per protocol, 1 scenario
-    std::vector<std::size_t> rerouted;                  // per protocol
+  TrafficRunResult run;
+  TrafficExperimentResult& result = run.result;
+  result.flows_per_scenario = flows.size();
+  result.mode = mode;
+  result.protocols.resize(protocols.size());
+  for (std::size_t i = 0; i < protocols.size(); ++i) {
+    result.protocols[i].name = protocols[i].name;
+    result.protocols[i].per_scenario.reserve(scenarios.size());
+  }
+
+  // A ring of `window` slots hands each scenario's cells from the worker that
+  // priced them to the canonical-order fold, so memory is flat in the
+  // scenario count.  Cells price straight into their slot's load maps.
+  struct Slot {
+    std::vector<CellOutcome> cells;       // per protocol
+    std::vector<traffic::LoadMap> loads;  // per protocol
   };
-  std::vector<ScenarioPartial> partials(scenarios.size());
+  const std::size_t window = executor.default_ordered_window();
+  std::vector<Slot> slots(window);
 
   const sim::SweepExecutor::UnitFn unit_fn = [&](std::size_t unit,
                                                  sim::WorkerContext& ctx) {
@@ -294,77 +249,46 @@ TrafficRunResult run_traffic_experiment_resilient(
     for (graph::EdgeId e : failures.elements()) network.fail_link(e);
     const auto component = graph::connected_components(g, &failures);
 
-    ScenarioPartial& partial = partials[unit];
-    partial.metrics.reserve(protocols.size());
-    partial.loads.reserve(protocols.size());
-    partial.rerouted.reserve(protocols.size());
+    Slot& slot = slots[unit % window];
+    slot.cells.resize(protocols.size());
+    slot.loads.resize(protocols.size());
     for (std::size_t i = 0; i < protocols.size(); ++i) {
+      traffic::LoadMap& load = slot.loads[i];
       if (mode == TrafficSweepMode::kFullReroute) {
-        partial.metrics.push_back(route_cell(g, network, component, protocols[i],
-                                             ctx.routes, flows, demands, offered,
-                                             plan, ctx.batch, ctx.load));
-        partial.rerouted.push_back(flows.size());
+        slot.cells[i] = CellOutcome{
+            route_cell(g, network, component, protocols[i], ctx.routes, flows,
+                       demands, offered, plan, ctx.batch, load),
+            1.0, flows.size()};
       } else {
-        partial.metrics.push_back(route_cell_incremental(
+        indexes[i].affected_flows(network.failed_links(), ctx.incidence.affected_mark,
+                                  ctx.incidence.affected);
+        slot.cells[i] = price_incremental_cell(
             g, network, component, protocols[i], ctx.routes, indexes[i], flows,
-            demands, offered, plan, ctx.batch, ctx.load, ctx.incidence));
-        partial.rerouted.push_back(ctx.incidence.affected.size());
+            demands, offered, plan, {}, ctx.batch, load, ctx.incidence);
 #ifndef NDEBUG
         cross_check_incremental_cell(g, network, component, protocols[i],
                                      ctx.routes, flows, demands, offered, plan,
-                                     partial.metrics.back(), ctx.load);
+                                     slot.cells[i].metrics, load);
 #endif
       }
-      traffic::LoadMapReduction cell;
-      cell.add(ctx.load);
-      partial.loads.push_back(std::move(cell));
     }
   };
-  TrafficRunResult run;
-  run.outcome = executor.run(scenarios.size(), unit_fn, control);
-
-  // Canonical-order merge over the surviving prefix: appending per-scenario
-  // rows and merging the load reductions in scenario order performs the
-  // serial driver's element-wise additions in the exact same sequence, so
-  // the floating-point sums are bit-identical.  Only units inside the
-  // executor's truncation prefix count -- anything beyond it (including
-  // slots a worker wrote before the stop was observed) is discarded, and
-  // contained-failure units (kContinue policy) merge nothing: their partial
-  // vectors stayed empty.
-  TrafficExperimentResult result = make_result(scenarios, protocols, flows.size(), mode);
-  result.scenarios = run.outcome.completed_units;
-  for (std::size_t s = 0; s < run.outcome.completed_units; ++s) {
-    ScenarioPartial& partial = partials[s];
-    for (std::size_t i = 0; i < partial.metrics.size(); ++i) {
-      auto& agg = result.protocols[i];
-      agg.per_scenario.push_back(partial.metrics[i]);
-      agg.total_load.merge(partial.loads[i]);
-      agg.rerouted_flows += partial.rerouted[i];
+  // Appending rows and adding load maps in scenario order performs the exact
+  // floating-point sequence at every thread count.  A contained failure
+  // (kContinue) never reaches this fold, so it adds no row.
+  const sim::SweepExecutor::ReduceFn reduce_fn = [&](std::size_t unit) {
+    const Slot& slot = slots[unit % window];
+    for (std::size_t i = 0; i < protocols.size(); ++i) {
+      ProtocolTraffic& agg = result.protocols[i];
+      agg.per_scenario.push_back(slot.cells[i].metrics);
+      agg.total_load.add(slot.loads[i]);
+      agg.rerouted_flows += slot.cells[i].rerouted;
     }
-    // Release each shard's load maps as they merge.
-    std::vector<traffic::LoadMapReduction>().swap(partial.loads);
-  }
-  run.result = std::move(result);
+    ++result.scenarios;
+  };
+  run.outcome = executor.run_ordered(scenarios.size(), unit_fn, reduce_fn, control,
+                                     nullptr, 0, window);
   return run;
-}
-
-TrafficExperimentResult run_traffic_experiment(
-    const graph::Graph& g, const traffic::TrafficMatrix& demand,
-    const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,
-    const std::vector<NamedFactory>& protocols, sim::SweepExecutor& executor,
-    TrafficSweepMode mode) {
-  // An unconstrained control: the sweep runs to completion unless a unit
-  // throws, in which case we surface it like the serial driver would.
-  const sim::RunControl control;
-  TrafficRunResult run = run_traffic_experiment_resilient(
-      g, demand, plan, scenarios, protocols, executor, control, mode);
-  if (!run.complete()) {
-    const sim::UnitError* e = run.outcome.first_error();
-    throw sim::SweepUnitError(e != nullptr ? e->unit : 0,
-                              e != nullptr ? e->worker : 0,
-                              e != nullptr ? e->what : "sweep did not complete");
-  }
-  return std::move(run.result);
 }
 
 }  // namespace pr::analysis

@@ -6,11 +6,12 @@
 // non-zero demand) through every failure scenario under every protocol,
 // accumulates demand-weighted per-interface load, and prices each scenario
 // against a capacity plan: max link utilization, overloaded links, and
-// delivered / lost / stranded traffic volume.  Like its siblings it has a
-// serial reference path and a SweepExecutor overload that is bit-identical
-// to it at every thread count (per-scenario units, canonical-order merge).
+// delivered / lost / stranded traffic volume.  Like its siblings it has one
+// sweep body, run_traffic_experiment_resilient, on SweepExecutor::run_ordered
+// (per-scenario units folded in canonical scenario order); the other two
+// signatures wrap it, so results are bit-identical at every thread count.
 //
-// Two sweep modes share those drivers:
+// Two sweep modes share that body:
 //   * kFullReroute -- the reference oracle: every scenario re-routes every
 //     flow from scratch, O(flows) protocol decisions per scenario;
 //   * kIncremental (default) -- one pristine routing pass per protocol builds
@@ -54,7 +55,9 @@ enum class TrafficSweepMode : std::uint8_t {
 /// One protocol's outcome across the whole sweep.
 struct ProtocolTraffic {
   std::string name;
-  /// One entry per scenario, in the caller's scenario order.
+  /// One entry per folded scenario, in the caller's scenario order.  A
+  /// resilient run under UnitErrorPolicy::kContinue skips the scenarios
+  /// listed in outcome.errors, so row r is then not scenario r.
   std::vector<traffic::CongestionMetrics> per_scenario;
   /// Per-dart load summed over all scenarios in canonical order (where
   /// rerouted demand concentrates across the sweep), plus the scenario count
@@ -71,7 +74,7 @@ struct ProtocolTraffic {
 
 struct TrafficExperimentResult {
   std::vector<ProtocolTraffic> protocols;
-  std::size_t scenarios = 0;
+  std::size_t scenarios = 0;  ///< scenarios folded (== per_scenario.size())
   std::size_t flows_per_scenario = 0;  ///< ordered pairs with non-zero demand
   TrafficSweepMode mode = TrafficSweepMode::kIncremental;
 
@@ -84,32 +87,68 @@ struct TrafficExperimentResult {
   }
 };
 
-/// The sweep work-list every traffic driver routes: one FlowSpec per ordered
-/// pair with non-zero demand, in the canonical (s, t) order, with the
-/// matching per-flow demand vector.  Exposed so capacity-sizing callers (the
-/// bench's pristine-load pass) build exactly the list the sweep will route.
-void collect_demand_flows(const traffic::TrafficMatrix& demand,
-                          std::vector<sim::FlowSpec>& flows,
-                          std::vector<double>& demands);
+/// The sweep work-list every demand-weighted driver routes: one FlowSpec per
+/// ordered pair with non-zero demand, in the canonical (s, t) order, with the
+/// matching per-flow demand vector.  Returns the offered volume, the demands
+/// summed in that order (every metrics row's offered_pps).  Exposed so
+/// capacity-sizing callers (the bench's pristine-load pass) build exactly
+/// the list the sweep will route.
+double collect_demand_flows(const traffic::TrafficMatrix& demand,
+                            std::vector<sim::FlowSpec>& flows,
+                            std::vector<double>& demands);
+
+/// The input checks every demand-weighted driver (traffic, storm, exhaustive
+/// storm) shares: a non-empty protocol list, and a demand matrix and
+/// capacity plan sized to `g`.  Throws std::invalid_argument prefixed `who`.
+void validate_demand_sweep(const char* who, const graph::Graph& g,
+                           const traffic::TrafficMatrix& demand,
+                           const traffic::CapacityPlan& plan,
+                           const std::vector<NamedFactory>& protocols);
+
+/// One priced (scenario, protocol) cell, beyond the LoadMap it filled.
+struct CellOutcome {
+  traffic::CongestionMetrics metrics;
+  /// Worst path-cost stretch among delivered affected flows; stays 1.0 when
+  /// the cell was priced without pristine costs.
+  double max_stretch = 1.0;
+  std::size_t rerouted = 0;  ///< flows routed through a protocol instance
+};
+
+/// The kIncremental cell (see the top of this header) every demand-weighted
+/// driver prices scenarios with: traffic sweeps, sampled storms and the
+/// exhaustive storm oracle.  The caller has already probed the scenario's
+/// affected flows into `scratch` -- per failed edge through
+/// FlowIncidenceIndex or per failed risk group through GroupIncidence, which
+/// find the same set.  The cell re-routes only those, with full traces, and
+/// refills `load` by replaying every flow in canonical flow order.
+/// `component` holds the scenario's residual component ids, which split
+/// dropped demand into lost vs stranded independently of `cache`, whose
+/// tables the protocol instance may be borrowing.  A non-empty
+/// `pristine_costs` (one per flow) turns on the max_stretch output.
+[[nodiscard]] CellOutcome price_incremental_cell(
+    const graph::Graph& g, const net::Network& network,
+    std::span<const std::uint32_t> component, const NamedFactory& factory,
+    route::ScenarioRoutingCache& cache, const traffic::FlowIncidenceIndex& index,
+    std::span<const sim::FlowSpec> flows, std::span<const double> demands,
+    double offered_pps, const traffic::CapacityPlan& plan,
+    std::span<const double> pristine_costs, sim::BatchResult& batch,
+    traffic::LoadMap& load, traffic::IncidenceScratch& scratch);
 
 /// Routes the demand matrix through every scenario under every protocol and
 /// prices the resulting loads against `plan`.  Scenarios may disconnect the
 /// graph: demand whose destination becomes unreachable is accounted as
 /// stranded (no scheme can deliver it), demand dropped despite a surviving
-/// path as lost.  Serial reference path.  `mode` selects the incremental
-/// core or the full-re-route oracle; results are bit-identical either way.
+/// path as lost.  `mode` selects the incremental core or the full-re-route
+/// oracle; results are bit-identical either way.  Runs the sweep body on a
+/// 1-thread executor.
 [[nodiscard]] TrafficExperimentResult run_traffic_experiment(
     const graph::Graph& g, const traffic::TrafficMatrix& demand,
     const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols,
     TrafficSweepMode mode = TrafficSweepMode::kIncremental);
 
-/// Parallel sharded variant: scenarios are work units on `executor`, each
-/// routed with the worker's reusable batch, load and incidence buffers
-/// (sim::WorkerContext); the per-protocol incidence indexes are built once,
-/// up front, and shared read-only by all workers.  Per-scenario metrics and
-/// load maps merge in canonical scenario order, so results are bit-identical
-/// to the serial overload -- and across both modes -- for every thread count.
+/// The same sweep on `executor`, all or nothing: a failing scenario throws
+/// sim::SweepUnitError.  Results are bit-identical for every thread count.
 [[nodiscard]] TrafficExperimentResult run_traffic_experiment(
     const graph::Graph& g, const traffic::TrafficMatrix& demand,
     const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,
@@ -117,9 +156,11 @@ void collect_demand_flows(const traffic::TrafficMatrix& demand,
     TrafficSweepMode mode = TrafficSweepMode::kIncremental);
 
 /// A resilient traffic run: the (possibly partial) result plus the
-/// executor's stop report.  result.scenarios == outcome.completed_units and
-/// every per-protocol row/load covers exactly the canonical scenario prefix
-/// [0, completed_units) -- bit-identical to running just those scenarios.
+/// executor's stop report.  Every per-protocol row/load covers exactly the
+/// scenarios folded from the canonical prefix [0, completed_units) --
+/// bit-identical to running just those scenarios.  result.scenarios counts
+/// the folded scenarios: completed_units minus the contained failures listed
+/// in outcome.errors under UnitErrorPolicy::kContinue.
 struct TrafficRunResult {
   TrafficExperimentResult result;
   sim::SweepOutcome outcome;
@@ -129,12 +170,17 @@ struct TrafficRunResult {
   }
 };
 
-/// The executor overload under a sim::RunControl: stops cooperatively at
-/// scenario boundaries on cancel/deadline/budget, contains per-scenario
-/// failures per the control's error policy, and returns the surviving
-/// canonical prefix instead of throwing.  Scenario lists are enumerated
-/// (unlike sampled storms), so "resume" is simply re-running with the
-/// remaining span -- no checkpoint machinery needed here.
+/// The traffic sweep body.  Scenarios are work units on `executor`, each
+/// routed with the worker's reusable batch and incidence buffers
+/// (sim::WorkerContext); the per-protocol incidence indexes are built once,
+/// up front, and shared read-only by all workers, and each scenario's rows
+/// and load maps fold into the result in canonical scenario order.  Under
+/// `control` the sweep stops cooperatively at scenario boundaries on
+/// cancel/deadline/budget, contains per-scenario failures per the control's
+/// error policy, and returns the surviving canonical prefix instead of
+/// throwing.  Scenario lists are enumerated (unlike sampled storms), so
+/// "resume" is simply re-running with the remaining span -- no checkpoint
+/// machinery needed here.
 [[nodiscard]] TrafficRunResult run_traffic_experiment_resilient(
     const graph::Graph& g, const traffic::TrafficMatrix& demand,
     const traffic::CapacityPlan& plan, std::span<const graph::EdgeSet> scenarios,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -55,8 +56,8 @@ EdgeId Graph::add_edge(NodeId u, NodeId v, Weight w) {
   if (u == v) {
     throw std::invalid_argument("Graph::add_edge: self-loops are not allowed");
   }
-  if (!(w > 0)) {
-    throw std::invalid_argument("Graph::add_edge: weight must be positive");
+  if (!(w > 0) || !std::isfinite(w)) {
+    throw std::invalid_argument("Graph::add_edge: weight must be positive and finite");
   }
   const auto e = static_cast<EdgeId>(edges_.size());
   edges_.push_back(EdgeRec{u, v, w});
@@ -67,8 +68,9 @@ EdgeId Graph::add_edge(NodeId u, NodeId v, Weight w) {
 }
 
 void Graph::set_edge_weight(EdgeId e, Weight w) {
-  if (!(w > 0)) {
-    throw std::invalid_argument("Graph::set_edge_weight: weight must be positive");
+  if (!(w > 0) || !std::isfinite(w)) {
+    throw std::invalid_argument(
+        "Graph::set_edge_weight: weight must be positive and finite");
   }
   edges_.at(e).w = w;
   structure_id_ = next_structure_id();

@@ -83,8 +83,9 @@ class Graph {
   /// Adds a node; the label is optional but must be unique when non-empty.
   NodeId add_node(std::string label = {});
 
-  /// Adds an undirected edge u--v of weight `w` (> 0).  Parallel edges are
-  /// allowed; self-loops throw std::invalid_argument.
+  /// Adds an undirected edge u--v of weight `w` (finite, > 0: an infinite
+  /// weight would equal kUnreachable).  Parallel edges are allowed;
+  /// self-loops and bad weights throw std::invalid_argument.
   EdgeId add_edge(NodeId u, NodeId v, Weight w = 1.0);
 
   [[nodiscard]] std::size_t node_count() const noexcept { return out_darts_.size(); }

@@ -106,7 +106,9 @@ Graph from_edge_list(std::string_view text) {
       Weight w = 1.0;
       if (tokens.size() == 4) {
         try {
-          w = std::stod(tokens[3]);
+          std::size_t consumed = 0;
+          w = std::stod(tokens[3], &consumed);
+          if (consumed != tokens[3].size()) throw std::invalid_argument("trailing junk");
         } catch (const std::exception&) {
           fail(line_no, "bad weight '" + tokens[3] + "'");
         }

@@ -7,8 +7,8 @@
 // pristine topology and answers each scenario by RoutingDb::rebuild(): only
 // destination trees that actually use a failed edge are repaired, from the
 // orphaned-subtree frontier, with results bit-identical to the from-scratch
-// build.  One cache lives per sweep worker (sim::WorkerContext) and per
-// serial driver, so no synchronisation is needed.
+// build.  One cache lives per sweep worker (sim::WorkerContext) or per
+// single-threaded pass, so no synchronisation is needed.
 #pragma once
 
 #include <cstdint>

@@ -32,6 +32,21 @@ bool parse_count_arg(const char* raw, std::size_t max_value, std::size_t& out) {
   return true;
 }
 
+void throw_if_incomplete(const SweepOutcome& outcome) {
+  if (outcome.complete()) return;
+  const UnitError* e = outcome.first_error();
+  if (e == nullptr) {
+    throw SweepUnitError(outcome.completed_units, 0, to_string(outcome.stop_reason));
+  }
+  // std::throw_with_nested attaches the original so callers can still dig
+  // out its concrete type.
+  try {
+    std::rethrow_exception(e->exception);
+  } catch (...) {
+    std::throw_with_nested(SweepUnitError(e->unit, e->worker, e->what));
+  }
+}
+
 std::uint64_t split_seed(std::uint64_t seed, std::uint64_t stream) {
   // The library-wide splitmix64 discipline lives in graph/rng.hpp; this alias
   // is kept so sweep callers keep one obvious name for unit streams.
@@ -81,8 +96,7 @@ struct SweepExecutor::Impl {
   SweepTelemetry telemetry;
 
   // Run-control plumbing for the current job.  `control` is read-only;
-  // `policy`/`faults` are snapshots taken at job start.  Legacy (void) entry
-  // points run with kStop policy and rethrow the lowest-unit failure.
+  // `policy`/`faults` are snapshots taken at job start.
   const RunControl* control = nullptr;
   const FaultPlan* faults = nullptr;
   UnitErrorPolicy policy = UnitErrorPolicy::kStop;
@@ -91,18 +105,15 @@ struct SweepExecutor::Impl {
   bool saw_deadline = false;        // guarded by `mutex`
 
   // Error containment, guarded by `mutex`.  `truncate_at` is the lowest unit
-  // whose failure truncates the prefix (kStop/legacy policy, or a reduce()
-  // failure under any policy); kNoTruncation when none has.
+  // whose failure truncates the prefix (kStop policy, or a reduce() failure
+  // under any policy); kNoTruncation when none has.
   std::vector<UnitError> errors;
   std::size_t error_count = 0;
   std::size_t truncate_at = kNoTruncation;
-  std::exception_ptr lowest_error;       // for the legacy rethrow
-  std::size_t lowest_error_unit = kNoTruncation;
-  std::size_t lowest_error_worker = 0;
 
-  // Auto-checkpoint plumbing for the current job (controlled ordered runs
-  // only).  The hooks run on the monitor thread; the counters are written
-  // there under `mutex` and read by run_job after the monitor joins.
+  // Auto-checkpoint plumbing for the current job (ordered runs only).  The
+  // hooks run on the monitor thread; the counters are written there under
+  // `mutex` and read by run_job after the monitor joins.
   const AutoCheckpoint* auto_ckpt = nullptr;
   std::size_t auto_checkpoints = 0;
   std::size_t checkpoint_failures = 0;
@@ -117,8 +128,7 @@ struct SweepExecutor::Impl {
   std::atomic<std::size_t> next_unit{0};
   std::atomic<std::size_t> executed{0};  // claimed units actually attempted
 
-  /// Captures the active exception as a UnitError (and as the legacy rethrow
-  /// candidate when it is the lowest unit so far).  Under a truncating policy
+  /// Captures the active exception as a UnitError.  Under a truncating policy
   /// also halts claiming and lowers `truncate_at`.  Caller must hold `mutex`
   /// and be inside a catch block.
   void record_error_locked(std::size_t unit, std::size_t worker, bool truncating) {
@@ -131,13 +141,15 @@ struct SweepExecutor::Impl {
     } catch (...) {
       what = "unknown exception";
     }
+    UnitError error{unit, worker, std::move(what), std::current_exception()};
     if (errors.size() < SweepOutcome::kMaxRecordedErrors) {
-      errors.push_back(UnitError{unit, worker, std::move(what)});
-    }
-    if (unit < lowest_error_unit) {
-      lowest_error_unit = unit;
-      lowest_error_worker = worker;
-      lowest_error = std::current_exception();
+      errors.push_back(std::move(error));
+    } else {
+      // Keep the lowest units: the first one is what a rethrow names.
+      auto highest = std::max_element(
+          errors.begin(), errors.end(),
+          [](const UnitError& a, const UnitError& b) { return a.unit < b.unit; });
+      if (unit < highest->unit) *highest = std::move(error);
     }
     if (truncating) {
       halted.store(true, std::memory_order_relaxed);
@@ -177,22 +189,20 @@ struct SweepExecutor::Impl {
       const bool timed = cell != nullptr || trace != nullptr || progress != nullptr;
       while (true) {
         if (halted.load(std::memory_order_relaxed)) break;
-        if (control != nullptr) {
-          // Cooperative stop checks happen BEFORE claiming: a claimed unit
-          // always runs to completion, which is what keeps the executed set
-          // a contiguous prefix (claims are handed out in order).
-          if (control->cancelled()) {
-            halted.store(true, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(mutex);
-            saw_cancel = true;
-            break;
-          }
-          if (control->deadline_expired()) {
-            halted.store(true, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(mutex);
-            saw_deadline = true;
-            break;
-          }
+        // Cooperative stop checks happen BEFORE claiming: a claimed unit
+        // always runs to completion, which is what keeps the executed set a
+        // contiguous prefix (claims are handed out in order).
+        if (control->cancelled()) {
+          halted.store(true, std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lock(mutex);
+          saw_cancel = true;
+          break;
+        }
+        if (control->deadline_expired()) {
+          halted.store(true, std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lock(mutex);
+          saw_deadline = true;
+          break;
         }
         const std::size_t unit = next_unit.fetch_add(1, std::memory_order_relaxed);
         if (unit >= claim_limit) break;
@@ -376,52 +386,34 @@ void SweepExecutor::set_telemetry(const SweepTelemetry& telemetry) {
   impl_->telemetry = telemetry;
 }
 
-void SweepExecutor::run(std::size_t unit_count, const UnitFn& fn, std::uint64_t seed) {
-  run_job(unit_count, fn, nullptr, nullptr, nullptr, seed, 0, /*legacy=*/true);
-}
-
 SweepOutcome SweepExecutor::run(std::size_t unit_count, const UnitFn& fn,
                                 const RunControl& control, std::uint64_t seed) {
-  return run_job(unit_count, fn, nullptr, &control, nullptr, seed, 0,
-                 /*legacy=*/false);
+  return run_job(unit_count, fn, nullptr, control, nullptr, seed, 0);
+}
+
+void SweepExecutor::run(std::size_t unit_count, const UnitFn& fn, std::uint64_t seed) {
+  const RunControl control;  // kStop: the first failure stops claiming
+  throw_if_incomplete(run(unit_count, fn, control, seed));
 }
 
 std::size_t SweepExecutor::default_ordered_window() const noexcept {
   return std::max<std::size_t>(4 * impl_->workers.size(), 16);
 }
 
-void SweepExecutor::run_ordered(std::size_t unit_count, const UnitFn& fn,
-                                const ReduceFn& reduce, std::uint64_t seed,
-                                std::size_t window) {
-  if (window == 0) window = default_ordered_window();
-  run_job(unit_count, fn, &reduce, nullptr, nullptr, seed, window, /*legacy=*/true);
-}
-
 SweepOutcome SweepExecutor::run_ordered(std::size_t unit_count, const UnitFn& fn,
                                         const ReduceFn& reduce,
                                         const RunControl& control,
+                                        const AutoCheckpoint* checkpoint,
                                         std::uint64_t seed, std::size_t window) {
   if (window == 0) window = default_ordered_window();
-  return run_job(unit_count, fn, &reduce, &control, nullptr, seed, window,
-                 /*legacy=*/false);
-}
-
-SweepOutcome SweepExecutor::run_ordered(std::size_t unit_count, const UnitFn& fn,
-                                        const ReduceFn& reduce,
-                                        const RunControl& control,
-                                        const AutoCheckpoint& checkpoint,
-                                        std::uint64_t seed, std::size_t window) {
-  if (window == 0) window = default_ordered_window();
-  return run_job(unit_count, fn, &reduce, &control, &checkpoint, seed, window,
-                 /*legacy=*/false);
+  return run_job(unit_count, fn, &reduce, control, checkpoint, seed, window);
 }
 
 SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
                                     const ReduceFn* reduce,
-                                    const RunControl* control,
+                                    const RunControl& control,
                                     const AutoCheckpoint* auto_checkpoint,
-                                    std::uint64_t seed, std::size_t window,
-                                    bool legacy) {
+                                    std::uint64_t seed, std::size_t window) {
   if (unit_count == 0) return SweepOutcome{};
   std::unique_lock<std::mutex> lock(impl_->mutex);
   if (impl_->job_active) {
@@ -432,26 +424,21 @@ SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
   impl_->job_active = true;
   impl_->fn = &fn;
   impl_->unit_count = unit_count;
-  impl_->claim_limit =
-      control == nullptr ? unit_count : std::min(unit_count, control->unit_budget());
+  impl_->claim_limit = std::min(unit_count, control.unit_budget());
   impl_->seed = seed;
   impl_->reduce = reduce;
   impl_->window = window;
   impl_->watermark = 0;
   impl_->done.assign(window, 0);
-  impl_->control = control;
-  impl_->faults = control == nullptr ? nullptr : control->fault_plan();
-  impl_->policy = (legacy || control == nullptr) ? UnitErrorPolicy::kStop
-                                                 : control->error_policy();
+  impl_->control = &control;
+  impl_->faults = control.fault_plan();
+  impl_->policy = control.error_policy();
   impl_->halted.store(false, std::memory_order_relaxed);
   impl_->saw_cancel = false;
   impl_->saw_deadline = false;
   impl_->errors.clear();
   impl_->error_count = 0;
   impl_->truncate_at = Impl::kNoTruncation;
-  impl_->lowest_error = nullptr;
-  impl_->lowest_error_unit = Impl::kNoTruncation;
-  impl_->lowest_error_worker = 0;
   impl_->next_unit.store(0, std::memory_order_relaxed);
   impl_->executed.store(0, std::memory_order_relaxed);
   impl_->idle_workers = 0;
@@ -595,15 +582,6 @@ SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
     outcome.stop_reason = StopReason::kBudget;  // claim_limit < unit_count
   }
 
-  std::exception_ptr legacy_error;
-  std::size_t legacy_unit = 0;
-  std::size_t legacy_worker = 0;
-  if (legacy && impl_->lowest_error) {
-    legacy_error = impl_->lowest_error;
-    legacy_unit = impl_->lowest_error_unit;
-    legacy_worker = impl_->lowest_error_worker;
-  }
-  impl_->lowest_error = nullptr;
   const std::size_t truncation_point = impl_->truncate_at;
   lock.unlock();
 
@@ -618,19 +596,6 @@ SweepOutcome SweepExecutor::run_job(std::size_t unit_count, const UnitFn& fn,
   if (trace != nullptr && truncated) {
     trace->record_instant(obs::SpanKind::kTruncate, 0, truncation_point,
                           outcome.completed_units);
-  }
-
-  if (legacy_error) {
-    // Rethrow with unit/worker context; std::throw_with_nested attaches the
-    // original so callers can still dig out its concrete type.
-    try {
-      std::rethrow_exception(legacy_error);
-    } catch (const std::exception& e) {
-      std::throw_with_nested(SweepUnitError(legacy_unit, legacy_worker, e.what()));
-    } catch (...) {
-      std::throw_with_nested(
-          SweepUnitError(legacy_unit, legacy_worker, "unknown exception"));
-    }
   }
   return outcome;
 }

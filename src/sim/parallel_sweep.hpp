@@ -8,28 +8,28 @@
 // pool so enumeration scales with the hardware.
 //
 // Determinism contract: results are bit-identical for every thread count,
-// including 1, and identical to the serial route_batch path.  Three rules
-// make that hold:
+// including 1.  Every experiment driver in analysis/ has exactly one sweep
+// body, written on run_ordered; its serial signature is that body on a
+// 1-thread executor.  Three rules make the contract hold:
 //   1. a work unit is the atom of scheduling -- all flows of a scenario are
 //      routed by one worker, in the caller's flow order, against protocol
-//      instances built fresh for that unit (exactly what the serial sweeps
-//      in analysis/ do per scenario);
+//      instances built fresh for that unit;
 //   2. randomness comes from per-unit streams split off the caller's seed
 //      (split_seed), never from a per-thread or shared generator, so a unit
 //      draws the same numbers no matter which worker runs it;
-//   3. callers write per-unit results into preallocated slots and merge them
-//      in canonical unit order after run() returns -- never in completion
-//      order.  Integer counters are order-insensitive anyway; floating-point
-//      accumulators (costs, stretch sums) are not, which is why the merge
-//      order is part of the contract.
+//   3. units hand their results to run_ordered's reduce hook through a ring
+//      of `window` slots, and the hook folds them in canonical unit order --
+//      never in completion order.  Integer counters are order-insensitive
+//      anyway; floating-point accumulators (costs, stretch sums, loads) are
+//      not, which is why the fold order is part of the contract.
 //
-// Robustness contract (PR 8): the controlled overloads taking a RunControl
-// return a SweepOutcome instead of throwing, stop cooperatively at unit
-// boundaries on cancel/deadline/budget, contain per-unit exceptions, and
-// guarantee the surviving results form the canonical prefix [0, k) -- see
-// sim/run_control.hpp for the truncation contract.  The legacy void
-// overloads keep their throwing behaviour, now with unit/worker context
-// attached via SweepUnitError.
+// Robustness contract: the entry points taking a RunControl return a
+// SweepOutcome instead of throwing, stop cooperatively at unit boundaries on
+// cancel/deadline/budget, contain per-unit exceptions, and guarantee the
+// surviving results form the canonical prefix [0, k) -- see
+// sim/run_control.hpp for the truncation contract.  The one throwing entry
+// point, run(n, fn, seed), is the controlled run() under a default control
+// that rethrows the lowest failing unit as SweepUnitError.
 #pragma once
 
 #include <cstdint>
@@ -113,12 +113,12 @@ struct AutoCheckpoint {
   }
 };
 
-/// Thrown by the legacy (void) run()/run_ordered() overloads when a unit
-/// function throws: carries the failing unit index and the worker that ran
-/// it, with the original exception attached via std::throw_with_nested.
-/// When several in-flight units fail before the pool drains, the LOWEST unit
-/// is the one rethrown, so the surfaced error is deterministic across thread
-/// counts whenever the failure itself is.
+/// Thrown by SweepExecutor::run(n, fn, seed) when a unit function throws:
+/// carries the failing unit index and the worker that ran it, with the
+/// original exception attached via std::throw_with_nested.  When several
+/// in-flight units fail before the pool drains, the LOWEST unit is the one
+/// rethrown, so the surfaced error is deterministic across thread counts
+/// whenever the failure itself is.
 class SweepUnitError : public std::runtime_error {
  public:
   SweepUnitError(std::size_t unit, std::size_t worker, const std::string& what)
@@ -135,6 +135,13 @@ class SweepUnitError : public std::runtime_error {
   std::size_t unit_;
   std::size_t worker_;
 };
+
+/// All-or-nothing adapter for runs under a default RunControl, where only a
+/// failed unit stops a sweep early: when `outcome` did not complete, throws
+/// SweepUnitError for its lowest failed unit with the original exception
+/// nested.  run(n, fn, seed) and the executor-taking analysis drivers that
+/// take no RunControl are built on it.
+void throw_if_incomplete(const SweepOutcome& outcome);
 
 /// Deterministic stream splitting (splitmix64 over seed ^ f(stream)): the
 /// RNG stream for work unit `stream` of a sweep seeded with `seed`.
@@ -153,9 +160,9 @@ class WorkerContext {
   std::vector<char> flags;
   BatchResult batch;
 
-  /// Reusable per-dart load accumulator for demand-weighted sweeps: the
-  /// load-accumulating route_batch overload resets it per call, so once warm
-  /// a traffic sweep adds no per-scenario heap traffic.
+  /// Reusable per-dart load accumulator for demand-weighted cells whose load
+  /// map does not outlive the unit (storm sweeps): it is reset per cell, so
+  /// once warm a sweep adds no per-scenario heap traffic.
   traffic::LoadMap load;
 
   /// Per-worker scratch for incremental traffic sweeps: affected-flow marks
@@ -222,30 +229,36 @@ class SweepExecutor {
   /// std::logic_error).  See SweepTelemetry for the determinism guarantee.
   void set_telemetry(const SweepTelemetry& telemetry);
 
-  /// Applies `fn` to every unit in [0, unit_count), dynamically sharded
-  /// across the pool; returns when all units finished.  `seed` roots the
-  /// per-unit RNG streams.  If any invocation throws, no new units are
-  /// claimed, in-flight units finish, and the lowest failing unit's
-  /// exception is rethrown here wrapped in SweepUnitError (original
-  /// attached via std::throw_with_nested).
-  void run(std::size_t unit_count, const UnitFn& fn, std::uint64_t seed = 0);
-
-  /// Controlled sweep: like run(), but stop signals (cancel, deadline, unit
-  /// budget -- checked cooperatively before each claim), fault injection and
-  /// the error policy come from `control`, and instead of throwing the call
-  /// returns a SweepOutcome whose completed_units is the canonical prefix
-  /// length k: units [0, k) all executed (contained failures listed in
-  /// errors under kContinue), results of any unit >= k must be discarded.
-  /// `control` is read-only here and may be shared with a canceller thread.
+  /// Controlled sweep: applies `fn` to every unit in [0, unit_count),
+  /// dynamically sharded across the pool.  `seed` roots the per-unit RNG
+  /// streams.  Stop signals (cancel, deadline, unit budget -- checked
+  /// cooperatively before each claim), fault injection and the error policy
+  /// come from `control`, and instead of throwing the call returns a
+  /// SweepOutcome whose completed_units is the canonical prefix length k:
+  /// units [0, k) all executed (contained failures listed in errors under
+  /// kContinue), results of any unit >= k must be discarded.  `control` is
+  /// read-only here and may be shared with a canceller thread.
   SweepOutcome run(std::size_t unit_count, const UnitFn& fn,
                    const RunControl& control, std::uint64_t seed = 0);
 
-  /// run() plus a canonical-order streaming reduction: after unit u's
-  /// function returns, `reduce(u)` fires once the reductions of every unit
-  /// below u have fired -- so the reduce sequence is 0, 1, 2, ... for every
-  /// thread count, which makes order-sensitive streaming state (P^2 quantile
-  /// markers, top-K heaps, floating-point accumulators) bit-identical to a
-  /// serial sweep without any per-unit result vector.
+  /// The throwing convenience: run() under a default RunControl.  If any
+  /// invocation throws, no new units are claimed, in-flight units finish,
+  /// and the lowest failing unit's exception is rethrown here wrapped in
+  /// SweepUnitError (original attached via std::throw_with_nested).
+  void run(std::size_t unit_count, const UnitFn& fn, std::uint64_t seed = 0);
+
+  /// The controlled run() plus a canonical-order streaming reduction: after
+  /// unit u's function returns, `reduce(u)` fires once the reductions of
+  /// every unit below u have fired -- so the reduce sequence is 0, 1, ...,
+  /// completed_units-1 for every thread count and however the sweep stops,
+  /// which makes order-sensitive streaming state (P^2 quantile markers, top-K
+  /// heaps, floating-point accumulators) bit-identical to a 1-thread sweep
+  /// without any per-unit result vector, and always a clean canonical prefix
+  /// -- the property checkpoint/resume builds on.  Under
+  /// UnitErrorPolicy::kContinue a failed unit's reduce is skipped (the
+  /// watermark steps over it) and the unit still counts toward the prefix;
+  /// reduce() itself throwing always truncates (streaming state is
+  /// potentially half-folded past that point).
   ///
   /// `window` bounds the in-flight span: unit u is not started before
   /// reduce(u - window) has returned, so the caller can hand results from
@@ -253,30 +266,14 @@ class SweepExecutor {
   /// unit % window) and memory stays flat no matter how many units run.
   /// window == 0 selects default_ordered_window(); an explicit window may be
   /// as small as 1 (fully serialised pipeline).
-  void run_ordered(std::size_t unit_count, const UnitFn& fn, const ReduceFn& reduce,
-                   std::uint64_t seed = 0, std::size_t window = 0);
-
-  /// Controlled ordered sweep: run_ordered() under a RunControl.  The reduce
-  /// sequence is exactly 0, 1, ..., completed_units-1 however the sweep
-  /// stops, so streaming reducer state is always a clean canonical prefix --
-  /// the property checkpoint/resume builds on.  Under
-  /// UnitErrorPolicy::kContinue a failed unit's reduce is skipped (the
-  /// watermark steps over it) and the unit still counts toward the prefix;
-  /// reduce() itself throwing always truncates (streaming state is
-  /// potentially half-folded past that point).
+  ///
+  /// A non-null, active `checkpoint` makes the monitor thread persist mid-run
+  /// checkpoints on its cadence (see AutoCheckpoint for the exact
+  /// locking/prefix guarantees); it must outlive the call.  Checkpointing is
+  /// durability only: results are bit-identical with it on, off, or failing.
   SweepOutcome run_ordered(std::size_t unit_count, const UnitFn& fn,
                            const ReduceFn& reduce, const RunControl& control,
-                           std::uint64_t seed = 0, std::size_t window = 0);
-
-  /// Controlled ordered sweep with periodic auto-checkpointing: the monitor
-  /// thread invokes `checkpoint` on its cadence while the sweep runs (see
-  /// AutoCheckpoint for the exact locking/prefix guarantees).  `checkpoint`
-  /// must outlive the call; an inactive checkpoint (no hooks or no cadence)
-  /// degrades to the plain controlled overload.  Checkpointing is durability
-  /// only: results are bit-identical with it on, off, or failing.
-  SweepOutcome run_ordered(std::size_t unit_count, const UnitFn& fn,
-                           const ReduceFn& reduce, const RunControl& control,
-                           const AutoCheckpoint& checkpoint,
+                           const AutoCheckpoint* checkpoint = nullptr,
                            std::uint64_t seed = 0, std::size_t window = 0);
 
   /// The window run_ordered(..., window = 0) selects: wide enough to keep
@@ -286,9 +283,9 @@ class SweepExecutor {
 
  private:
   SweepOutcome run_job(std::size_t unit_count, const UnitFn& fn,
-                       const ReduceFn* reduce, const RunControl* control,
+                       const ReduceFn* reduce, const RunControl& control,
                        const AutoCheckpoint* auto_checkpoint, std::uint64_t seed,
-                       std::size_t window, bool legacy);
+                       std::size_t window);
 
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -315,30 +312,5 @@ class SweepExecutor {
 /// rules.
 [[nodiscard]] bool parse_count_arg(const char* raw, std::size_t max_value,
                                    std::size_t& out);
-
-/// Mergeable reduction of FlowStats over a shard: delivery counts plus hop
-/// and cost totals.  add() in flow order within a shard, merge() in canonical
-/// shard order across shards -- that exact order makes the floating-point
-/// cost total bit-identical to a serial sweep accumulating per shard.
-struct FlowStatsReduction {
-  std::size_t flows = 0;
-  std::size_t delivered = 0;
-  std::uint64_t hops = 0;
-  double cost = 0.0;
-
-  void add(const FlowStats& s) noexcept {
-    ++flows;
-    delivered += s.delivered() ? 1 : 0;
-    hops += s.hops;
-    cost += s.cost;
-  }
-
-  void merge(const FlowStatsReduction& other) noexcept {
-    flows += other.flows;
-    delivered += other.delivered;
-    hops += other.hops;
-    cost += other.cost;
-  }
-};
 
 }  // namespace pr::sim

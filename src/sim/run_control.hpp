@@ -11,7 +11,7 @@
 // (cancel, deadline, budget, contained unit error), the set of units whose
 // results count -- and, for run_ordered, the reduce sequence -- is a
 // canonical prefix [0, k) of the unit order.  Partial results are therefore
-// bit-identical to a serial run of the same prefix, which is what makes
+// bit-identical to a 1-thread run of the same prefix, which is what makes
 // checkpoint/resume (analysis/checkpoint.hpp) exact rather than approximate.
 #pragma once
 
@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -42,20 +43,23 @@ enum class StopReason : std::uint8_t {
 
 /// What to do when a work unit throws under an outcome-returning run:
 /// truncate the sweep at the failing unit (the canonical-prefix default) or
-/// skip just that unit and keep going, accumulating the error.  The legacy
-/// void run()/run_ordered() entry points always stop and rethrow.
+/// skip just that unit and keep going, accumulating the error.  The throwing
+/// SweepExecutor::run(n, fn, seed) runs under the default, kStop.
 enum class UnitErrorPolicy : std::uint8_t {
   kStop,      ///< contain the error, drain to the prefix [0, failing unit)
   kContinue,  ///< record the error, skip the unit's reduce, keep sweeping
 };
 
-/// One contained work-unit failure: which unit, which worker ran it, and the
-/// exception's what().  The worker index is diagnostic only -- results never
-/// depend on it; the unit index is part of the truncation contract.
+/// One contained work-unit failure: which unit, which worker ran it, the
+/// exception's what(), and the exception itself (for rethrowing it nested,
+/// see sim::throw_if_incomplete).  The worker index is diagnostic only --
+/// results never depend on it; the unit index is part of the truncation
+/// contract.
 struct UnitError {
   std::size_t unit = 0;
   std::size_t worker = 0;
   std::string what;
+  std::exception_ptr exception;
 };
 
 /// How a controlled sweep ended.  `completed_units` is the canonical prefix
@@ -66,8 +70,8 @@ struct UnitError {
 struct SweepOutcome {
   std::size_t completed_units = 0;
   StopReason stop_reason = StopReason::kCompleted;
-  /// Contained failures, ascending by unit; capped at kMaxRecordedErrors
-  /// entries (error_count keeps the true total).
+  /// Contained failures, ascending by unit; capped at the kMaxRecordedErrors
+  /// lowest units (error_count keeps the true total).
   std::vector<UnitError> errors;
   std::size_t error_count = 0;
   /// Periodic checkpoints persisted by the monitor thread during this run

@@ -25,7 +25,8 @@
 // link, and reconvergence's deterministic destination-based SPF provably
 // keeps every next-hop on a surviving pristine path unchanged (removing
 // edges cannot shorten surviving paths; see graph::SpfWorkspace::repair).
-// The debug-mode cross-check in analysis::run_traffic_experiment enforces it.
+// Debug builds of the traffic sweep (analysis::run_traffic_experiment_resilient,
+// which every run_traffic_experiment signature wraps) enforce it per cell.
 #pragma once
 
 #include <cstdint>
@@ -143,8 +144,9 @@ class GroupIncidence {
 };
 
 /// Per-worker scratch for incremental sweep cells (affected-flow marks and
-/// the compacted re-route list).  Lives in sim::WorkerContext and in each
-/// serial driver so the per-scenario hot loop reuses capacity.
+/// the compacted re-route list).  Lives in sim::WorkerContext (and in the
+/// exhaustive storm oracle's loop) so the per-scenario hot loop reuses
+/// capacity.
 struct IncidenceScratch {
   std::vector<std::uint8_t> affected_mark;  ///< per-flow affectedness flags
   std::vector<std::uint32_t> affected;      ///< affected flow ids, ascending

@@ -7,7 +7,7 @@
 // real transmitters before being lost.  Maps are plain flat vectors: reset()
 // keeps capacity so the sweep hot loop never allocates, and merge() is an
 // element-wise sum whose canonical call order (scenario order, enforced by
-// the sweep drivers) makes parallel reductions bit-identical to serial ones.
+// the sweep drivers) makes reductions bit-identical at every thread count.
 #pragma once
 
 #include <cstddef>
@@ -78,11 +78,10 @@ struct LoadMapDiff {
 [[nodiscard]] LoadMapDiff diff(const LoadMap& a, const LoadMap& b);
 
 /// Mergeable sweep reduction: the summed load map plus the scenario count it
-/// covers.  The traffic sweep drivers keep one per protocol: serial sweeps
-/// add() each scenario's map in order, parallel sweeps merge() per-unit
-/// reductions in canonical unit order -- the two perform the same element-
-/// wise additions in the same sequence, which is what makes the summed map
-/// bit-identical at every thread count.
+/// covers.  The traffic sweep keeps one per protocol and add()s each
+/// scenario's map in canonical scenario order -- the same element-wise
+/// additions in the same sequence at every thread count, which is what makes
+/// the summed map bit-identical.
 struct LoadMapReduction {
   LoadMap load;
   std::size_t scenarios = 0;

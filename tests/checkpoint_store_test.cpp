@@ -442,7 +442,7 @@ TEST(AutoCheckpointTest, PersistedCursorsAreMonotonicCanonicalPrefixes) {
       [](std::size_t, sim::WorkerContext&) {
         std::this_thread::sleep_for(std::chrono::microseconds(300));
       },
-      [&](std::size_t unit) { sum += unit; }, control, ckpt);
+      [&](std::size_t unit) { sum += unit; }, control, &ckpt);
 
   EXPECT_TRUE(outcome.complete());
   EXPECT_EQ(sum, static_cast<std::uint64_t>(kUnits) * (kUnits - 1) / 2);
@@ -479,7 +479,7 @@ TEST(AutoCheckpointTest, FailuresAreCountedNeverFatal) {
       [](std::size_t, sim::WorkerContext&) {
         std::this_thread::sleep_for(std::chrono::microseconds(300));
       },
-      [&](std::size_t unit) { sum += unit; }, control, ckpt);
+      [&](std::size_t unit) { sum += unit; }, control, &ckpt);
 
   // Checkpointing is durability only: the sweep completes, results are
   // intact, the failures are merely counted.

@@ -44,6 +44,9 @@ TEST(FromEdgeList, Errors) {
   EXPECT_THROW((void)from_edge_list("edge A B notaweight\n"), std::invalid_argument);
   EXPECT_THROW((void)from_edge_list("edge A A\n"), std::invalid_argument);  // self loop
   EXPECT_THROW((void)from_edge_list("edge A B 0\n"), std::invalid_argument);
+  EXPECT_THROW((void)from_edge_list("edge A B 2x\n"), std::invalid_argument);
+  EXPECT_THROW((void)from_edge_list("edge A B inf\n"), std::invalid_argument);
+  EXPECT_THROW((void)from_edge_list("edge A B nan\n"), std::invalid_argument);
 }
 
 TEST(RoundTrip, PreservesStructure) {

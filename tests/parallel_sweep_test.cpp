@@ -3,8 +3,9 @@
 //
 // The executor is only allowed to be fast, not different: for every thread
 // count the coverage counts, stretch sample sequences and floating-point
-// aggregates must be bit-identical to the serial route_batch sweeps, and the
-// per-unit RNG streams must depend on the unit index alone.  The suite also
+// aggregates must be bit-identical to a 1-thread sweep (and the aggregates to
+// plain route_batch loops), and the per-unit RNG streams must depend on the
+// unit index alone.  The suite also
 // pins the ProtocolCoverage::coverage() corner semantics.
 #include "sim/parallel_sweep.hpp"
 
@@ -29,6 +30,31 @@ namespace {
 
 using sim::SweepExecutor;
 using sim::WorkerContext;
+
+/// Mergeable reduction of FlowStats over a shard: delivery counts plus hop
+/// and cost totals.  add() in flow order within a shard, merge() in canonical
+/// shard order across shards -- that exact order makes the floating-point
+/// cost total bit-identical to a serial sweep accumulating per shard.
+struct FlowStatsReduction {
+  std::size_t flows = 0;
+  std::size_t delivered = 0;
+  std::uint64_t hops = 0;
+  double cost = 0.0;
+
+  void add(const sim::FlowStats& s) noexcept {
+    ++flows;
+    delivered += s.delivered() ? 1 : 0;
+    hops += s.hops;
+    cost += s.cost;
+  }
+
+  void merge(const FlowStatsReduction& other) noexcept {
+    flows += other.flows;
+    delivered += other.delivered;
+    hops += other.hops;
+    cost += other.cost;
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Executor mechanics
@@ -194,7 +220,7 @@ TEST(SweepExecutorTest, RngStreamsDependOnUnitNotThreadCount) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep determinism against the serial route_batch path
+// Sweep determinism: N threads against the 1-thread sweep
 
 /// The six protocols of the library's comparison set.
 std::vector<analysis::NamedFactory> six_protocols(const analysis::ProtocolSuite& suite) {
@@ -202,31 +228,31 @@ std::vector<analysis::NamedFactory> six_protocols(const analysis::ProtocolSuite&
           suite.pr_single_bit(), suite.lfa(), suite.lfa_node_protecting()};
 }
 
-void expect_identical_stretch(const analysis::StretchExperimentResult& serial,
+void expect_identical_stretch(const analysis::StretchExperimentResult& one_thread,
                               const analysis::StretchExperimentResult& parallel,
                               std::size_t threads) {
-  ASSERT_EQ(parallel.protocols.size(), serial.protocols.size());
-  EXPECT_EQ(parallel.scenarios, serial.scenarios);
-  EXPECT_EQ(parallel.affected_pairs, serial.affected_pairs);
-  for (std::size_t i = 0; i < serial.protocols.size(); ++i) {
-    const auto& s = serial.protocols[i];
+  ASSERT_EQ(parallel.protocols.size(), one_thread.protocols.size());
+  EXPECT_EQ(parallel.scenarios, one_thread.scenarios);
+  EXPECT_EQ(parallel.affected_pairs, one_thread.affected_pairs);
+  for (std::size_t i = 0; i < one_thread.protocols.size(); ++i) {
+    const auto& s = one_thread.protocols[i];
     const auto& p = parallel.protocols[i];
     EXPECT_EQ(p.name, s.name);
     EXPECT_EQ(p.delivered, s.delivered) << s.name << " @ " << threads << " threads";
     EXPECT_EQ(p.dropped, s.dropped) << s.name << " @ " << threads << " threads";
-    // Bit-identical doubles in the serial sample order, not approximate
-    // equality: the canonical-order merge is exact by construction.
+    // Bit-identical doubles in the 1-thread sample order, not approximate
+    // equality: the canonical-order fold is exact by construction.
     EXPECT_EQ(p.stretches, s.stretches) << s.name << " @ " << threads << " threads";
   }
 }
 
-void expect_identical_coverage(const analysis::CoverageResult& serial,
+void expect_identical_coverage(const analysis::CoverageResult& one_thread,
                                const analysis::CoverageResult& parallel,
                                std::size_t threads) {
-  ASSERT_EQ(parallel.protocols.size(), serial.protocols.size());
-  EXPECT_EQ(parallel.scenarios, serial.scenarios);
-  for (std::size_t i = 0; i < serial.protocols.size(); ++i) {
-    const auto& s = serial.protocols[i];
+  ASSERT_EQ(parallel.protocols.size(), one_thread.protocols.size());
+  EXPECT_EQ(parallel.scenarios, one_thread.scenarios);
+  for (std::size_t i = 0; i < one_thread.protocols.size(); ++i) {
+    const auto& s = one_thread.protocols[i];
     const auto& p = parallel.protocols[i];
     EXPECT_EQ(p.name, s.name);
     EXPECT_EQ(p.delivered, s.delivered) << s.name << " @ " << threads << " threads";
@@ -237,7 +263,7 @@ void expect_identical_coverage(const analysis::CoverageResult& serial,
   }
 }
 
-TEST(ParallelSweepDeterminismTest, MatchesSerialOnRandomTopologies) {
+TEST(ParallelSweepDeterminismTest, MatchesOneThreadOnRandomTopologies) {
   for (const std::uint64_t topo_seed : {1ULL, 2ULL, 3ULL}) {
     graph::Rng rng(topo_seed);
     const graph::Graph g = graph::random_two_edge_connected(10, 6, rng);
@@ -249,19 +275,20 @@ TEST(ParallelSweepDeterminismTest, MatchesSerialOnRandomTopologies) {
     auto scenarios = net::sample_any_failures(g, 2, 10, rng);
     for (auto& s : net::all_single_failures(g)) scenarios.push_back(std::move(s));
 
-    const auto serial_stretch =
+    // The executor-less signatures run the same sweep on one thread.
+    const auto one_thread_stretch =
         analysis::run_stretch_experiment(g, scenarios, protocols);
-    const auto serial_coverage =
+    const auto one_thread_coverage =
         analysis::run_coverage_experiment(g, scenarios, protocols);
 
     for (const std::size_t threads : {1U, 2U, 8U}) {
       SweepExecutor executor(threads);
       expect_identical_stretch(
-          serial_stretch,
+          one_thread_stretch,
           analysis::run_stretch_experiment(g, scenarios, protocols, executor),
           threads);
       expect_identical_coverage(
-          serial_coverage,
+          one_thread_coverage,
           analysis::run_coverage_experiment(g, scenarios, protocols, executor),
           threads);
     }
@@ -274,11 +301,11 @@ TEST(ParallelSweepDeterminismTest, AbileneAllSingleFailures) {
   const auto protocols = six_protocols(suite);
   const auto scenarios = net::all_single_failures(g);
 
-  const auto serial = analysis::run_stretch_experiment(g, scenarios, protocols);
+  const auto one_thread = analysis::run_stretch_experiment(g, scenarios, protocols);
   for (const std::size_t threads : {1U, 2U, 8U}) {
     SweepExecutor executor(threads);
     expect_identical_stretch(
-        serial, analysis::run_stretch_experiment(g, scenarios, protocols, executor),
+        one_thread, analysis::run_stretch_experiment(g, scenarios, protocols, executor),
         threads);
   }
 }
@@ -288,7 +315,7 @@ TEST(ParallelSweepDeterminismTest, ScenarioRoutingCacheKeepsSweepsBitIdentical) 
   // delta-repaired tables whose content depends only on the failure set --
   // never on which worker ran the unit or what it processed before.  A
   // reconvergence-heavy protocol list over a scenario mix with partitions
-  // must therefore stay bit-identical to the serial sweep at any thread
+  // must therefore stay bit-identical to the 1-thread sweep at any thread
   // count.
   graph::Rng rng(0x5CA1E);
   const graph::Graph g = graph::random_two_edge_connected(12, 7, rng);
@@ -303,15 +330,15 @@ TEST(ParallelSweepDeterminismTest, ScenarioRoutingCacheKeepsSweepsBitIdentical) 
     scenarios.push_back(std::move(s));
   }
 
-  const auto serial = analysis::run_stretch_experiment(g, scenarios, protocols);
-  const auto serial_cov = analysis::run_coverage_experiment(g, scenarios, protocols);
+  const auto one_thread = analysis::run_stretch_experiment(g, scenarios, protocols);
+  const auto one_thread_cov = analysis::run_coverage_experiment(g, scenarios, protocols);
   for (const std::size_t threads : {1U, 2U, 8U}) {
     SweepExecutor executor(threads);
     expect_identical_stretch(
-        serial, analysis::run_stretch_experiment(g, scenarios, protocols, executor),
+        one_thread, analysis::run_stretch_experiment(g, scenarios, protocols, executor),
         threads);
     expect_identical_coverage(
-        serial_cov,
+        one_thread_cov,
         analysis::run_coverage_experiment(g, scenarios, protocols, executor),
         threads);
   }
@@ -328,7 +355,7 @@ TEST(ParallelSweepDeterminismTest, AggregateCostBitIdenticalToSerialBatches) {
   const auto flows = sim::all_pairs_flows(g);
 
   // Serial reference: route every scenario with a fresh PR instance.
-  std::vector<sim::FlowStatsReduction> serial_per_scenario(scenarios.size());
+  std::vector<FlowStatsReduction> serial_per_scenario(scenarios.size());
   for (std::size_t u = 0; u < scenarios.size(); ++u) {
     net::Network network(g);
     for (graph::EdgeId e : scenarios[u].elements()) network.fail_link(e);
@@ -336,12 +363,12 @@ TEST(ParallelSweepDeterminismTest, AggregateCostBitIdenticalToSerialBatches) {
     const auto batch = sim::route_batch(network, *proto, flows);
     for (const auto& fs : batch.stats()) serial_per_scenario[u].add(fs);
   }
-  sim::FlowStatsReduction serial_total;
+  FlowStatsReduction serial_total;
   for (const auto& shard : serial_per_scenario) serial_total.merge(shard);
 
   for (const std::size_t threads : {1U, 2U, 8U}) {
     SweepExecutor executor(threads);
-    std::vector<sim::FlowStatsReduction> shards(scenarios.size());
+    std::vector<FlowStatsReduction> shards(scenarios.size());
     executor.run(scenarios.size(), [&](std::size_t unit, WorkerContext& ctx) {
       net::Network network(g);
       for (graph::EdgeId e : scenarios[unit].elements()) network.fail_link(e);
@@ -349,7 +376,7 @@ TEST(ParallelSweepDeterminismTest, AggregateCostBitIdenticalToSerialBatches) {
       sim::route_batch(network, *proto, flows, sim::TraceMode::kStats, ctx.batch);
       for (const auto& fs : ctx.batch.stats()) shards[unit].add(fs);
     });
-    sim::FlowStatsReduction total;
+    FlowStatsReduction total;
     for (const auto& shard : shards) total.merge(shard);
 
     EXPECT_EQ(total.flows, serial_total.flows);

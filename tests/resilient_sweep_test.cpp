@@ -232,7 +232,7 @@ TEST(ControlledSweepTest, BudgetTruncatesToTheExactPrefix) {
         [&](std::size_t, WorkerContext&) {
           ran.fetch_add(1, std::memory_order_relaxed);
         },
-        log.fn(), control, /*seed=*/1);
+        log.fn(), control, /*checkpoint=*/nullptr, /*seed=*/1);
 
     EXPECT_EQ(outcome.stop_reason, StopReason::kBudget) << threads;
     EXPECT_EQ(outcome.completed_units, 13u) << threads;
@@ -412,8 +412,9 @@ TEST(ControlledSweepTest, StopPolicyTruncatesAtTheFailingUnit) {
     control.set_fault_plan(&faults);
 
     ReduceLog log;
-    const SweepOutcome outcome = executor.run_ordered(
-        200, [](std::size_t, WorkerContext&) {}, log.fn(), control, /*seed=*/7);
+    const SweepOutcome outcome =
+        executor.run_ordered(200, [](std::size_t, WorkerContext&) {}, log.fn(),
+                             control, /*checkpoint=*/nullptr, /*seed=*/7);
 
     EXPECT_EQ(outcome.stop_reason, StopReason::kUnitError) << threads;
     EXPECT_EQ(outcome.completed_units, 23u) << threads;
@@ -469,6 +470,29 @@ TEST(ControlledSweepTest, ContinuePolicySkipsFailedUnitsAndFinishes) {
     }
     // 57 successful + 3 faulted claims were all attempted.
     EXPECT_EQ(ran.load(), 57u) << threads;  // fn not reached for faulted units
+  }
+}
+
+TEST(ControlledSweepTest, RecordedErrorsAreTheLowestUnitsWhenCapped) {
+  // More failures than SweepOutcome keeps: the recorded ones must be the
+  // lowest units at every thread count (first_error() names what a rethrow
+  // reports), while error_count keeps the true total.
+  constexpr std::size_t kFailing = SweepOutcome::kMaxRecordedErrors + 36;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SweepExecutor executor(threads);
+    RunControl control;
+    control.set_error_policy(UnitErrorPolicy::kContinue);
+    FaultPlan faults;
+    for (std::size_t u = 0; u < kFailing; ++u) faults.throw_in_unit(2 * kFailing - 1 - u);
+    control.set_fault_plan(&faults);
+    const SweepOutcome outcome =
+        executor.run(2 * kFailing, [](std::size_t, WorkerContext&) {}, control);
+    EXPECT_EQ(outcome.stop_reason, StopReason::kCompleted) << threads;
+    EXPECT_EQ(outcome.error_count, kFailing) << threads;
+    ASSERT_EQ(outcome.errors.size(), SweepOutcome::kMaxRecordedErrors) << threads;
+    for (std::size_t i = 0; i < outcome.errors.size(); ++i) {
+      EXPECT_EQ(outcome.errors[i].unit, kFailing + i) << threads;
+    }
   }
 }
 
@@ -530,7 +554,7 @@ TEST(ControlledSweepTest, StallsDoNotChangeResults) {
           draws[unit] = ctx.rng().unit();
         },
         [&](std::size_t unit) { stream.push_back(draws[unit]); }, control,
-        /*seed=*/99);
+        /*checkpoint=*/nullptr, /*seed=*/99);
     EXPECT_EQ(outcome.stop_reason, StopReason::kCompleted);
     if (baseline.empty()) {
       baseline = stream;
@@ -541,9 +565,9 @@ TEST(ControlledSweepTest, StallsDoNotChangeResults) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy entry points keep throwing, now with context.
+// The throwing run() convenience rethrows with context.
 
-TEST(ControlledSweepTest, LegacyRethrowNamesLowestUnitDeterministically) {
+TEST(ControlledSweepTest, ThrowingRunNamesLowestUnitDeterministically) {
   // Two failing units: whatever the thread count claims first, the rethrown
   // error must name the LOWEST failing unit.
   for (const std::size_t threads : {1u, 2u, 8u}) {

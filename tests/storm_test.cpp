@@ -47,18 +47,21 @@ TEST(RunOrdered, ReducesEveryUnitOnceInCanonicalOrder) {
   constexpr std::size_t kUnits = 500;
   for (const std::size_t threads : {1U, 2U, 8U}) {
     SweepExecutor executor(threads);
+    const sim::RunControl control;
     const std::size_t window = executor.default_ordered_window();
     std::vector<std::uint64_t> ring(window, 0);
     std::vector<std::size_t> order;
     std::uint64_t sum = 0;
-    executor.run_ordered(
+    const sim::SweepOutcome outcome = executor.run_ordered(
         kUnits,
         [&](std::size_t unit, WorkerContext&) { ring[unit % window] = 3 * unit + 1; },
         [&](std::size_t unit) {
           order.push_back(unit);
           sum += ring[unit % window];
-        });
+        },
+        control);
 
+    EXPECT_TRUE(outcome.complete()) << threads << " threads";
     ASSERT_EQ(order.size(), kUnits) << threads << " threads";
     for (std::size_t i = 0; i < kUnits; ++i) {
       ASSERT_EQ(order[i], i) << threads << " threads";
@@ -73,6 +76,7 @@ TEST(RunOrdered, WindowOneFullySerialisesThePipeline) {
   // With window == 1 a single slot is enough: unit u+1 may not start until
   // reduce(u) returned, so the slot is never overwritten early.
   SweepExecutor executor(8);
+  const sim::RunControl control;
   constexpr std::size_t kUnits = 200;
   std::uint64_t slot = 0;
   std::vector<std::uint64_t> reduced;
@@ -82,7 +86,7 @@ TEST(RunOrdered, WindowOneFullySerialisesThePipeline) {
         EXPECT_EQ(slot, unit * unit);
         reduced.push_back(slot);
       },
-      /*seed=*/0, /*window=*/1);
+      control, /*checkpoint=*/nullptr, /*seed=*/0, /*window=*/1);
   ASSERT_EQ(reduced.size(), kUnits);
   for (std::size_t i = 0; i < kUnits; ++i) EXPECT_EQ(reduced[i], i * i);
 }
@@ -102,6 +106,7 @@ TEST(RunOrdered, PerUnitRngStreamsMatchPlainRun) {
   }
   for (const std::size_t threads : {1U, 8U}) {
     SweepExecutor executor(threads);
+    const sim::RunControl control;
     std::vector<double> slot(executor.default_ordered_window(), 0.0);
     std::vector<double> ordered(kUnits, 0.0);
     executor.run_ordered(
@@ -109,43 +114,61 @@ TEST(RunOrdered, PerUnitRngStreamsMatchPlainRun) {
         [&](std::size_t unit, WorkerContext& ctx) {
           slot[unit % slot.size()] = ctx.rng().unit();
         },
-        [&](std::size_t unit) { ordered[unit] = slot[unit % slot.size()]; }, kSeed);
+        [&](std::size_t unit) { ordered[unit] = slot[unit % slot.size()]; }, control,
+        /*checkpoint=*/nullptr, kSeed);
     EXPECT_EQ(ordered, from_run) << threads << " threads";
   }
 }
 
-TEST(RunOrdered, UnitExceptionPropagatesAndExecutorSurvives) {
+TEST(RunOrdered, UnitExceptionTruncatesAndExecutorSurvives) {
   SweepExecutor executor(4);
-  EXPECT_THROW(
-      executor.run_ordered(
-          100,
-          [](std::size_t unit, WorkerContext&) {
-            if (unit == 17) throw std::runtime_error("unit 17");
-          },
-          [](std::size_t) {}),
-      std::runtime_error);
+  const sim::RunControl control;
+  std::vector<std::size_t> reduced;
+  const sim::SweepOutcome outcome = executor.run_ordered(
+      100,
+      [](std::size_t unit, WorkerContext&) {
+        if (unit == 17) throw std::runtime_error("unit 17");
+      },
+      [&](std::size_t unit) { reduced.push_back(unit); }, control);
+  EXPECT_EQ(outcome.stop_reason, sim::StopReason::kUnitError);
+  EXPECT_EQ(outcome.completed_units, 17u);
+  ASSERT_NE(outcome.first_error(), nullptr);
+  EXPECT_EQ(outcome.first_error()->unit, 17u);
+  EXPECT_EQ(outcome.first_error()->what, "unit 17");
+  std::vector<std::size_t> prefix(17);
+  std::iota(prefix.begin(), prefix.end(), std::size_t{0});
+  EXPECT_EQ(reduced, prefix);
 
   // The pool must come back clean for the next job.
-  std::size_t reduced = 0;
-  executor.run_ordered(
-      50, [](std::size_t, WorkerContext&) {}, [&](std::size_t) { ++reduced; });
-  EXPECT_EQ(reduced, 50u);
+  std::size_t clean = 0;
+  const sim::SweepOutcome next = executor.run_ordered(
+      50, [](std::size_t, WorkerContext&) {}, [&](std::size_t) { ++clean; }, control);
+  EXPECT_TRUE(next.complete());
+  EXPECT_EQ(clean, 50u);
 }
 
-TEST(RunOrdered, ReduceExceptionPropagatesAndExecutorSurvives) {
+TEST(RunOrdered, ReduceExceptionTruncatesAndExecutorSurvives) {
   SweepExecutor executor(4);
-  EXPECT_THROW(
-      executor.run_ordered(
-          100, [](std::size_t, WorkerContext&) {},
-          [](std::size_t unit) {
-            if (unit == 5) throw std::runtime_error("reduce 5");
-          }),
-      std::runtime_error);
-
+  const sim::RunControl control;
   std::size_t reduced = 0;
-  executor.run_ordered(
-      50, [](std::size_t, WorkerContext&) {}, [&](std::size_t) { ++reduced; });
-  EXPECT_EQ(reduced, 50u);
+  const sim::SweepOutcome outcome = executor.run_ordered(
+      100, [](std::size_t, WorkerContext&) {},
+      [&](std::size_t unit) {
+        if (unit == 5) throw std::runtime_error("reduce 5");
+        ++reduced;
+      },
+      control);
+  EXPECT_EQ(outcome.stop_reason, sim::StopReason::kUnitError);
+  EXPECT_EQ(outcome.completed_units, 5u);
+  EXPECT_EQ(reduced, 5u);
+  ASSERT_NE(outcome.first_error(), nullptr);
+  EXPECT_EQ(outcome.first_error()->unit, 5u);
+
+  std::size_t clean = 0;
+  const sim::SweepOutcome next = executor.run_ordered(
+      50, [](std::size_t, WorkerContext&) {}, [&](std::size_t) { ++clean; }, control);
+  EXPECT_TRUE(next.complete());
+  EXPECT_EQ(clean, 50u);
 }
 
 // ---------------------------------------------------------------------------

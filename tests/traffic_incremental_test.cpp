@@ -246,12 +246,12 @@ TEST(TrafficIncremental, BitIdenticalAcrossThreadCounts) {
         g, demand, plan, scenarios, protocols, executor,
         TrafficSweepMode::kIncremental);
     expect_identical_results(oracle, incremental, "threads");
-    // The per-worker probe counts merge deterministically too.
-    const auto serial_inc = analysis::run_traffic_experiment(
+    // The per-worker probe counts fold deterministically too.
+    const auto one_thread_inc = analysis::run_traffic_experiment(
         g, demand, plan, scenarios, protocols, TrafficSweepMode::kIncremental);
     for (std::size_t i = 0; i < protocols.size(); ++i) {
       EXPECT_EQ(incremental.protocols[i].rerouted_flows,
-                serial_inc.protocols[i].rerouted_flows)
+                one_thread_inc.protocols[i].rerouted_flows)
           << protocols[i].name << " @ " << threads;
     }
   }

@@ -507,19 +507,19 @@ TEST(TrafficExperiment, LfaCoverageGapsPriceAsLostVolume) {
   EXPECT_NEAR(s.offered_pps, s.delivered_pps + s.lost_pps + s.stranded_pps, 1e-6);
 }
 
-void expect_identical_traffic(const analysis::TrafficExperimentResult& serial,
+void expect_identical_traffic(const analysis::TrafficExperimentResult& one_thread,
                               const analysis::TrafficExperimentResult& parallel,
                               std::size_t threads) {
-  ASSERT_EQ(parallel.protocols.size(), serial.protocols.size());
-  EXPECT_EQ(parallel.scenarios, serial.scenarios);
-  EXPECT_EQ(parallel.flows_per_scenario, serial.flows_per_scenario);
-  for (std::size_t i = 0; i < serial.protocols.size(); ++i) {
-    const auto& s = serial.protocols[i];
+  ASSERT_EQ(parallel.protocols.size(), one_thread.protocols.size());
+  EXPECT_EQ(parallel.scenarios, one_thread.scenarios);
+  EXPECT_EQ(parallel.flows_per_scenario, one_thread.flows_per_scenario);
+  for (std::size_t i = 0; i < one_thread.protocols.size(); ++i) {
+    const auto& s = one_thread.protocols[i];
     const auto& p = parallel.protocols[i];
     EXPECT_EQ(p.name, s.name);
     // Bit-identical doubles -- per-scenario metric rows, the summed load map
-    // and the aggregate summary -- not approximate equality: canonical-order
-    // merge makes the floating-point sums exact.
+    // and the aggregate summary -- not approximate equality: the
+    // canonical-order fold makes the floating-point sums exact.
     EXPECT_EQ(p.per_scenario, s.per_scenario) << s.name << " @ " << threads;
     EXPECT_EQ(p.total_load, s.total_load) << s.name << " @ " << threads;
     EXPECT_EQ(p.summary(), s.summary()) << s.name << " @ " << threads;
@@ -542,12 +542,12 @@ TEST(TrafficExperiment, WeightedCostDiscriminatorSuiteIsSafe) {
   const std::vector<analysis::NamedFactory> protocols = {suite.reconvergence(),
                                                          suite.pr()};
 
-  const auto serial =
+  const auto one_thread =
       analysis::run_traffic_experiment(g, demand, plan, scenarios, protocols);
-  EXPECT_GT(serial.protocols[0].summary().delivered_pps, 0.0);
+  EXPECT_GT(one_thread.protocols[0].summary().delivered_pps, 0.0);
   sim::SweepExecutor executor(2);
   expect_identical_traffic(
-      serial,
+      one_thread,
       analysis::run_traffic_experiment(g, demand, plan, scenarios, protocols,
                                        executor),
       2);
@@ -571,12 +571,12 @@ TEST(TrafficSweepDeterminismTest, BitIdenticalAcrossThreadCountsAndProtocols) {
       scenarios.push_back(std::move(s));
     }
 
-    const auto serial =
+    const auto one_thread =
         analysis::run_traffic_experiment(g, demand, plan, scenarios, protocols);
     for (const std::size_t threads : {1U, 2U, 8U}) {
       sim::SweepExecutor executor(threads);
       expect_identical_traffic(
-          serial,
+          one_thread,
           analysis::run_traffic_experiment(g, demand, plan, scenarios, protocols,
                                            executor),
           threads);
@@ -593,10 +593,10 @@ TEST(TrafficSweepDeterminismTest, AbileneGravitySingleFailures) {
   const auto plan = CapacityPlan::uniform(g, 2.5e5);
   const auto scenarios = net::all_single_failures(g);
 
-  const auto serial =
+  const auto one_thread =
       analysis::run_traffic_experiment(g, demand, plan, scenarios, protocols);
   // Sanity: the sweep moves real volume and conserves it.
-  for (const auto& p : serial.protocols) {
+  for (const auto& p : one_thread.protocols) {
     const auto s = p.summary();
     EXPECT_NEAR(s.offered_pps, s.delivered_pps + s.lost_pps + s.stranded_pps, 1e-6)
         << p.name;
@@ -605,7 +605,7 @@ TEST(TrafficSweepDeterminismTest, AbileneGravitySingleFailures) {
   for (const std::size_t threads : {2U, 8U}) {
     sim::SweepExecutor executor(threads);
     expect_identical_traffic(
-        serial,
+        one_thread,
         analysis::run_traffic_experiment(g, demand, plan, scenarios, protocols,
                                          executor),
         threads);
@@ -720,6 +720,48 @@ TEST(TrafficResilience, BudgetPrefixMatchesASmallerRun) {
   }
 }
 
+TEST(TrafficResilience, ContinuePolicyFoldsOnlySurvivingScenarios) {
+  // A scenario contained as a failure under kContinue contributes no row, so
+  // the run must equal a clean run over the list without that scenario, and
+  // result.scenarios must count exactly the rows folded.
+  const auto g = topo::abilene();
+  const analysis::ProtocolSuite suite(g);
+  const auto demand = traffic::gravity_demand(g, 1e6);
+  const auto plan = CapacityPlan::uniform(g, 2.5e5);
+  const auto scenarios = net::all_single_failures(g);
+  const std::vector<analysis::NamedFactory> protocols = {suite.pr(), suite.lfa(),
+                                                         suite.reconvergence()};
+
+  std::vector<graph::EdgeSet> without_3(scenarios.begin(), scenarios.end());
+  without_3.erase(without_3.begin() + 3);
+  const auto want =
+      analysis::run_traffic_experiment(g, demand, plan, without_3, protocols);
+
+  for (const std::size_t threads : {1U, 2U, 8U}) {
+    sim::SweepExecutor executor(threads);
+    sim::RunControl control;
+    control.set_error_policy(sim::UnitErrorPolicy::kContinue);
+    sim::FaultPlan faults;
+    faults.throw_in_unit(3);
+    control.set_fault_plan(&faults);
+    const auto run = analysis::run_traffic_experiment_resilient(
+        g, demand, plan, scenarios, protocols, executor, control);
+    EXPECT_EQ(run.outcome.stop_reason, sim::StopReason::kCompleted) << threads;
+    EXPECT_EQ(run.outcome.completed_units, scenarios.size()) << threads;
+    ASSERT_EQ(run.outcome.errors.size(), 1u) << threads;
+    EXPECT_EQ(run.outcome.errors[0].unit, 3u) << threads;
+    EXPECT_EQ(run.result.scenarios, scenarios.size() - 1) << threads;
+    expect_identical_traffic(want, run.result, threads);
+    for (std::size_t i = 0; i < protocols.size(); ++i) {
+      const auto& p = run.result.protocols[i];
+      EXPECT_EQ(run.result.scenarios, p.per_scenario.size()) << p.name;
+      EXPECT_EQ(p.total_load.scenarios, p.per_scenario.size()) << p.name;
+      EXPECT_EQ(p.rerouted_flows, want.protocols[i].rerouted_flows)
+          << p.name << " @ " << threads;
+    }
+  }
+}
+
 TEST(TrafficResilience, InjectedFailureIsContainedWithContext) {
   const auto g = topo::abilene();
   const analysis::ProtocolSuite suite(g);
@@ -743,7 +785,7 @@ TEST(TrafficResilience, InjectedFailureIsContainedWithContext) {
   EXPECT_NE(run.outcome.first_error()->what.find("injected fault"),
             std::string::npos);
 
-  // The legacy throwing overload reports the same context in its exception.
+  // The all-or-nothing executor signature completes without a fault plan.
   try {
     (void)analysis::run_traffic_experiment(g, demand, plan, scenarios, protocols,
                                            executor);
