@@ -14,15 +14,17 @@
 //
 // Every sweep now runs twice: once through the full re-route oracle and once
 // through the affected-flow incremental core (pristine FlowIncidenceIndex +
-// canonical-order replay), asserting the two bit-identical before reporting
-// the timing ratio and the affected-flow fraction the incremental path
-// actually re-routed.
+// delta cell over on-grid demand), asserting the two bit-identical before
+// reporting the timing ratio and the affected-flow fraction the incremental
+// path actually re-routed.  Each topology also reports the demand grid's
+// quantum (demand_quantum_pps), the unit every routed rate is a multiple of.
 //
 // Emits BENCH_traffic_sweep.json (also printed); schema is additive over the
 // pre-incremental version ("ms" is still the full-re-route sweep time):
 //
 //   { "bench": "traffic_sweep", "total_demand_pps": ..., ...,
-//     "topologies": [ { "topology": "abilene", ..., "sweeps": [
+//     "topologies": [ { "topology": "abilene", ..., "demand_quantum_pps": q,
+//       "sweeps": [
 //       { "failures": 1, "scenarios": S, "ms": ..., "ms_incremental": ...,
 //         "speedup_incremental": ..., "affected_flow_fraction": ...,
 //         "protocols": [
@@ -204,6 +206,8 @@ int main(int argc, char** argv) {
          << "\", \"nodes\": " << g.node_count() << ", \"links\": " << g.edge_count()
          << ", \"demand_pairs\": " << demand.pair_count()
          << ", \"capacity_pps_per_link\": " << plan.capacity_pps(0)
+         << ", \"demand_quantum_pps\": " << std::setprecision(17)
+         << analysis::demand_quantum(demand) << std::setprecision(6)
          << ",\n      \"sweeps\": [";
     first_topo = false;
 

@@ -5,11 +5,11 @@
 // scenario -- right for hundreds of enumerated failure sets, fatal for the
 // sampled storms a net::StormModel can produce forever.  This driver streams
 // instead: scenarios are drawn on the fly from per-unit split-seed RNG
-// streams, each is priced with the incremental LoadMap core (pristine replay
-// + affected-flow re-route, probed through the SRLG-grained
-// traffic::GroupIncidence), and everything folds into O(1) reducer state --
-// P^2 quantile markers, running sums, a bounded top-K worst-scenario heap --
-// through SweepExecutor::run_ordered, whose canonical-order reduce hook makes
+// streams, each is priced with the incremental delta cell (pristine load -
+// affected pristine rows + affected re-routes, probed through the
+// SRLG-grained traffic::GroupIncidence), and everything folds into O(1)
+// reducer state -- P^2 quantile markers, running sums, a bounded top-K
+// worst-scenario heap -- through SweepExecutor::run_ordered, whose canonical-order reduce hook makes
 // every reducer bit-identical at any thread count.  A 10^6-scenario sweep
 // holds one slot ring of executor window size, per-worker scratch, and the
 // reducers; nothing grows with the scenario count.
@@ -122,12 +122,13 @@ struct StormExperimentResult {
 /// Samples config.scenarios scenarios from `model`, prices each against
 /// `plan` under every protocol, and streams everything into the result's
 /// reducers via run_ordered.  Scenario i is drawn from RNG stream
-/// split_seed(config.seed, i), evaluated incrementally (pristine replay +
+/// split_seed(config.seed, i), evaluated incrementally (delta cell over a
 /// GroupIncidence-probed re-route), and reduced in canonical order: the
 /// result is bit-identical for every executor thread count.  Memory is flat
 /// in the scenario count.  Throws std::invalid_argument on empty protocol
 /// lists, zero scenarios, mismatched matrix/plan sizes, or quantiles outside
-/// (0, 1).
+/// (0, 1), and analysis::DemandGridOverflow when the demand grid cannot hold
+/// the worst-case dart load exactly.
 [[nodiscard]] StormExperimentResult run_storm_experiment(
     const graph::Graph& g, const traffic::TrafficMatrix& demand,
     const traffic::CapacityPlan& plan, const net::StormModel& model,

@@ -1,29 +1,46 @@
 #include "analysis/traffic.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "graph/connectivity.hpp"
+#include "net/forwarding.hpp"
 #include "sim/parallel_sweep.hpp"
 
 namespace pr::analysis {
 
 using graph::NodeId;
 
+namespace {
+
+/// `pps` rounded to the nearest multiple of the quantum `q`, never below one
+/// quantum.  pps / q and the product are exact (q is a power of two).
+double on_grid(double pps, double q) { return std::max(q, std::round(pps / q) * q); }
+
+}  // namespace
+
+double demand_quantum(const traffic::TrafficMatrix& demand) {
+  double raw = 0.0;
+  for (const double pps : demand.flat()) raw += pps;
+  return raw == 0.0 ? 0.0 : std::ldexp(1.0, std::ilogb(raw) + 1 - kDemandGridBits);
+}
+
 double collect_demand_flows(const traffic::TrafficMatrix& demand,
                             std::vector<sim::FlowSpec>& flows,
                             std::vector<double>& demands) {
   flows.clear();
   demands.clear();
+  const double q = demand_quantum(demand);
   double offered = 0.0;
   const std::size_t n = demand.node_count();
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId t = 0; t < n; ++t) {
       if (s == t || demand.demand(s, t) == 0.0) continue;
       flows.push_back(sim::FlowSpec{s, t});
-      demands.push_back(demand.demand(s, t));
+      demands.push_back(on_grid(demand.demand(s, t), q));
       offered += demands.back();
     }
   }
@@ -45,6 +62,20 @@ void validate_demand_sweep(const char* who, const graph::Graph& g,
     throw std::invalid_argument(std::string(who) +
                                 ": capacity plan does not cover the graph");
   }
+  const double q = demand_quantum(demand);
+  if (q == 0.0) return;  // no demand, nothing to charge
+  double offered = 0.0;
+  for (const double pps : demand.flat()) {
+    if (pps != 0.0) offered += on_grid(pps, q);
+  }
+  // The product rounds at most up to 2^53, so the test never misses a
+  // violation; a non-finite offered volume (or quantum) fails it too.
+  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  if (!(offered / q * net::default_ttl(g) < kExactLimit)) {
+    throw DemandGridOverflow(std::string(who) +
+                             ": demand grid overflow: offered/quantum x ttl reaches "
+                             "2^53, so per-dart loads would not be exact");
+  }
 }
 
 CellOutcome price_incremental_cell(
@@ -55,10 +86,9 @@ CellOutcome price_incremental_cell(
     double offered_pps, const traffic::CapacityPlan& plan,
     std::span<const double> pristine_costs, sim::BatchResult& batch,
     traffic::LoadMap& load, traffic::IncidenceScratch& scratch) {
-  // Re-route the affected flows in canonical flow order.  When the scenario
-  // touches no pristine path there is nothing to re-route: the protocol
-  // instance (and any routing-table repair it would trigger) is skipped
-  // entirely and the replay below is the whole answer.
+  // Re-route the affected flows.  When the scenario touches no pristine path
+  // the protocol instance (and any routing-table repair it would trigger) is
+  // skipped entirely and the pristine cell is the whole answer.
   batch.clear();
   if (!scratch.affected.empty()) {
     scratch.flows.clear();
@@ -68,33 +98,41 @@ CellOutcome price_incremental_cell(
                      batch);
   }
 
-  load.reset(g.dart_count());
+  // Every term below is a multiple of the demand quantum within the exact
+  // range, so the order of these additions does not matter.
   CellOutcome out;
   out.rerouted = scratch.affected.size();
   traffic::CongestionMetrics& m = out.metrics;
   m.offered_pps = offered_pps;
-  std::size_t a = 0;  // cursor into the re-routed batch
-  for (std::size_t f = 0; f < flows.size(); ++f) {
+  m.delivered_pps = index.pristine_delivered_pps();
+  load = index.pristine_load();
+  const auto drop = [&](std::uint32_t f) {
+    if (component[flows[f].source] == component[flows[f].destination]) {
+      m.lost_pps += demands[f];
+    } else {
+      m.stranded_pps += demands[f];
+    }
+  };
+  for (std::size_t a = 0; a < scratch.affected.size(); ++a) {
+    const std::uint32_t f = scratch.affected[a];
     const double rate = demands[f];
-    bool delivered;
-    if (scratch.affected_mark[f] != 0) {
-      for (const graph::DartId d : batch.darts(a)) load.add(d, rate);
-      delivered = batch[a].delivered();
-      if (delivered && !pristine_costs.empty() && pristine_costs[f] > 0.0) {
-        out.max_stretch = std::max(out.max_stretch, batch[a].cost / pristine_costs[f]);
-      }
-      ++a;
-    } else {
-      for (const graph::DartId d : index.flow_darts(f)) load.add(d, rate);
-      delivered = index.pristine_delivered(f);
+    for (const graph::DartId d : index.flow_darts(f)) load.add(d, -rate);
+    for (const graph::DartId d : batch.darts(a)) load.add(d, rate);
+    if (index.pristine_delivered(f)) m.delivered_pps -= rate;
+    if (!batch[a].delivered()) {
+      drop(f);
+      continue;
     }
-    if (delivered) {
-      m.delivered_pps += rate;
-    } else if (component[flows[f].source] == component[flows[f].destination]) {
-      m.lost_pps += rate;
-    } else {
-      m.stranded_pps += rate;
+    m.delivered_pps += rate;
+    if (!pristine_costs.empty() && pristine_costs[f] > 0.0) {
+      out.max_stretch = std::max(out.max_stretch, batch[a].cost / pristine_costs[f]);
     }
+  }
+  // Flows the pristine network already drops stay dropped unless affected
+  // (failure locality); the scenario's components still decide lost vs
+  // stranded for them.
+  for (const std::uint32_t f : index.pristine_undelivered()) {
+    if (scratch.affected_mark[f] == 0) drop(f);
   }
   traffic::apply_utilization(m, g, load, plan);
   return out;
@@ -273,7 +311,8 @@ TrafficRunResult run_traffic_experiment_resilient(
       }
     }
   };
-  // Appending rows and adding load maps in scenario order performs the exact
+  // Summed over many scenarios the loads can leave the demand grid's exact
+  // range, so rows and load maps fold in canonical scenario order: the same
   // floating-point sequence at every thread count.  A contained failure
   // (kContinue) never reaches this fold, so it adds no row.
   const sim::SweepExecutor::ReduceFn reduce_fn = [&](std::size_t unit) {

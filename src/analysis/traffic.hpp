@@ -17,17 +17,26 @@
 //   * kIncremental (default) -- one pristine routing pass per protocol builds
 //     a traffic::FlowIncidenceIndex; each scenario then probes it for the
 //     flows whose pristine path crosses a failed edge, re-routes ONLY those,
-//     and replays the cached pristine dart paths for everyone else,
-//     interleaved in canonical flow order.  Because the replay performs the
-//     exact floating-point addition sequence the full re-route would, the
-//     metric rows and merged LoadMaps are bit-identical to kFullReroute at
-//     every thread count -- single-link sweeps pay for the affected fraction
-//     (typically single-digit percent) instead of all n*(n-1) pairs.
-//     Debug builds cross-check every incremental cell against the oracle.
+//     and prices the cell by delta: the pristine load, minus the affected
+//     flows' pristine rows, plus their re-routed darts.  Work is O(affected
+//     flows), so single-link sweeps pay for the affected fraction (typically
+//     single-digit percent, often far less) instead of all n*(n-1) pairs.
+//
+// Exactness replaces ordering.  collect_demand_flows puts every rate on a
+// power-of-two grid sized so that every per-dart load and every delivered /
+// lost / stranded sum of one cell is an integer multiple of the quantum below
+// 2^53 quanta (validate_demand_sweep refuses inputs where that could fail).
+// Double addition and subtraction on those values are exact, hence
+// associative, so the delta cell's rows and LoadMaps are bit-identical to
+// kFullReroute however its terms are ordered.  Debug builds cross-check every
+// incremental cell against the oracle.  Sums ACROSS scenarios (total_load,
+// the storm reducers) can leave the exact range and still fold in canonical
+// scenario order.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,13 +52,12 @@
 namespace pr::analysis {
 
 /// How a traffic sweep prices each scenario; both modes produce bit-identical
-/// results (the incremental path's replay reproduces the oracle's exact
-/// floating-point operation sequence), so the oracle survives as the
-/// reference for tests, benches and protocols outside the failure-local
-/// contract documented in traffic/incidence.hpp.
+/// results (on-grid demand makes every per-cell sum exact), so the oracle
+/// survives as the reference for tests, benches and protocols outside the
+/// failure-local contract documented in traffic/incidence.hpp.
 enum class TrafficSweepMode : std::uint8_t {
   kFullReroute,  ///< re-route every flow per scenario (reference oracle)
-  kIncremental,  ///< pristine-path replay + affected-flow re-route
+  kIncremental,  ///< pristine load - affected pristine rows + affected re-routes
 };
 
 /// One protocol's outcome across the whole sweep.
@@ -87,19 +95,43 @@ struct TrafficExperimentResult {
   }
 };
 
+/// Significant bits of the demand grid: the quantum is
+/// q = 2^(ilogb(raw offered) + 1 - kDemandGridBits), so the offered volume
+/// spans about 2^kDemandGridBits quanta.  A flow crosses at most
+/// net::default_ttl(g) darts, so no per-dart load exceeds offered * ttl and
+/// every per-cell sum stays exact while offered/q * default_ttl(g) < 2^53
+/// (ttl < 2^17, i.e. fewer than ~32k edges, at 36 bits).
+/// validate_demand_sweep enforces that bound.
+inline constexpr int kDemandGridBits = 36;
+
+/// Raised by validate_demand_sweep when the worst-case dart load of `demand`
+/// on `g` cannot be represented exactly on the demand grid.
+class DemandGridOverflow : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// The demand grid's quantum for `demand` (see kDemandGridBits): a power of
+/// two derived from the raw offered volume summed in canonical (s, t) order.
+/// 0 for an all-zero matrix.
+[[nodiscard]] double demand_quantum(const traffic::TrafficMatrix& demand);
+
 /// The sweep work-list every demand-weighted driver routes: one FlowSpec per
 /// ordered pair with non-zero demand, in the canonical (s, t) order, with the
-/// matching per-flow demand vector.  Returns the offered volume, the demands
-/// summed in that order (every metrics row's offered_pps).  Exposed so
-/// capacity-sizing callers (the bench's pristine-load pass) build exactly
-/// the list the sweep will route.
+/// matching per-flow demand vector, every rate rounded to the nearest
+/// multiple of demand_quantum(demand) (a positive rate never rounds to 0).
+/// Returns the offered volume, the exact sum of those rates (every metrics
+/// row's offered_pps).  Exposed so capacity-sizing callers (the bench's
+/// pristine-load pass) build exactly the list the sweep will route.
 double collect_demand_flows(const traffic::TrafficMatrix& demand,
                             std::vector<sim::FlowSpec>& flows,
                             std::vector<double>& demands);
 
 /// The input checks every demand-weighted driver (traffic, storm, exhaustive
 /// storm) shares: a non-empty protocol list, and a demand matrix and
-/// capacity plan sized to `g`.  Throws std::invalid_argument prefixed `who`.
+/// capacity plan sized to `g`, all std::invalid_argument prefixed `who`; and
+/// DemandGridOverflow when offered/q * net::default_ttl(g) >= 2^53 (or the
+/// offered volume is not finite).
 void validate_demand_sweep(const char* who, const graph::Graph& g,
                            const traffic::TrafficMatrix& demand,
                            const traffic::CapacityPlan& plan,
@@ -119,12 +151,16 @@ struct CellOutcome {
 /// exhaustive storm oracle.  The caller has already probed the scenario's
 /// affected flows into `scratch` -- per failed edge through
 /// FlowIncidenceIndex or per failed risk group through GroupIncidence, which
-/// find the same set.  The cell re-routes only those, with full traces, and
-/// refills `load` by replaying every flow in canonical flow order.
+/// find the same set.  The cell re-routes only those, with full traces, sets
+/// `load` to the index's pristine load minus their pristine rows plus their
+/// re-routed darts, and adjusts the pristine delivered volume the same way.
 /// `component` holds the scenario's residual component ids, which split
-/// dropped demand into lost vs stranded independently of `cache`, whose
-/// tables the protocol instance may be borrowing.  A non-empty
-/// `pristine_costs` (one per flow) turns on the max_stretch output.
+/// dropped demand (affected flows that dropped, and the index's
+/// pristine-undelivered flows) into lost vs stranded independently of
+/// `cache`, whose tables the protocol instance may be borrowing.  `demands`
+/// must be the on-grid rates of collect_demand_flows -- the index's too --
+/// for the result to equal the full re-route.  A non-empty `pristine_costs`
+/// (one per flow) turns on the max_stretch output.
 [[nodiscard]] CellOutcome price_incremental_cell(
     const graph::Graph& g, const net::Network& network,
     std::span<const std::uint32_t> component, const NamedFactory& factory,

@@ -7,6 +7,23 @@
 
 namespace pr::traffic {
 
+namespace {
+
+/// Starts a probe: clears the marks the pair's previous probe left (exactly
+/// the entries of `out`), or re-zeroes `mark` in full when it is sized for a
+/// different flow universe.
+void reset_probe(std::size_t flow_count, std::vector<std::uint8_t>& mark,
+                 std::vector<std::uint32_t>& out) {
+  if (mark.size() == flow_count) {
+    for (const std::uint32_t f : out) mark[f] = 0;
+  } else {
+    mark.assign(flow_count, 0);
+  }
+  out.clear();
+}
+
+}  // namespace
+
 void FlowIncidenceIndex::build(const net::Network& net,
                                net::ForwardingProtocol& protocol,
                                std::span<const sim::FlowSpec> flows,
@@ -32,11 +49,18 @@ void FlowIncidenceIndex::build(const net::Network& net,
   path_offsets_.reserve(flows.size() + 1);
   path_darts_.clear();
   delivered_.resize(flows.size());
+  pristine_delivered_pps_ = 0.0;
+  pristine_undelivered_.clear();
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const auto darts = batch.darts(f);
     path_darts_.insert(path_darts_.end(), darts.begin(), darts.end());
     path_offsets_.push_back(path_darts_.size());
     delivered_[f] = batch[f].delivered() ? 1 : 0;
+    if (batch[f].delivered()) {
+      pristine_delivered_pps_ += demands[f];
+    } else {
+      pristine_undelivered_.push_back(static_cast<std::uint32_t>(f));
+    }
   }
 
   // Reverse index, counting-sort style.  `last` dedupes repeated crossings of
@@ -73,8 +97,7 @@ void FlowIncidenceIndex::build(const net::Network& net,
 void FlowIncidenceIndex::affected_flows(const graph::EdgeSet& failures,
                                         std::vector<std::uint8_t>& mark,
                                         std::vector<std::uint32_t>& out) const {
-  mark.assign(flow_count(), 0);
-  out.clear();
+  reset_probe(flow_count(), mark, out);
   for (const graph::EdgeId e : failures.elements()) {
     for (const unsigned side : {0U, 1U}) {
       const graph::DartId d = graph::make_dart(e, side);
@@ -133,8 +156,7 @@ void GroupIncidence::build(const FlowIncidenceIndex& index,
 void GroupIncidence::affected_flows(std::span<const std::size_t> groups,
                                     std::vector<std::uint8_t>& mark,
                                     std::vector<std::uint32_t>& out) const {
-  mark.assign(flow_count_, 0);
-  out.clear();
+  reset_probe(flow_count_, mark, out);
   for (const std::size_t g : groups) {
     for (const std::uint32_t f : group_flows(g)) {
       if (mark[f] == 0) {

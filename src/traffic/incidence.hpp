@@ -7,16 +7,19 @@
 // pristine path, and they contribute exactly their pristine load.  This index
 // captures one pristine routing pass of a protocol over a demand work-list in
 // CSR form, twice over:
-//   * per flow  -- the dart sequence its pristine path crossed (the replay
-//                  rows that seed every scenario's LoadMap);
+//   * per flow  -- the dart sequence its pristine path crossed (the row a
+//                  scenario subtracts from the pristine load when it
+//                  re-routes that flow);
 //   * per dart  -- the sorted set of flows whose pristine path crosses it
 //                  (the reverse index a failure set probes to find the flows
-//                  it actually affects).
-// A scenario then re-routes only the affected flows and REPLAYS the pristine
-// rows for everyone else, interleaved in canonical flow order -- the exact
-// floating-point addition sequence a full re-route performs, which is what
-// keeps incremental results bit-identical to the full oracle (see
-// analysis/traffic.hpp).
+//                  it actually affects);
+// plus the pristine totals a delta cell starts from: the demand-weighted
+// load, the delivered volume, and the (normally empty) list of flows the
+// pristine network already fails to deliver.  A scenario re-routes only the
+// affected flows and prices the cell as pristine - affected + re-routed.
+// With on-grid demand (analysis::collect_demand_flows) every term is exact,
+// so the result equals a full re-route bit for bit regardless of the order
+// of the terms (see analysis/traffic.hpp).
 //
 // Validity: the index assumes protocols are failure-local -- a flow whose
 // pristine path avoids every failed edge must behave identically under the
@@ -27,6 +30,13 @@
 // edges cannot shorten surviving paths; see graph::SpfWorkspace::repair).
 // Debug builds of the traffic sweep (analysis::run_traffic_experiment_resilient,
 // which every run_traffic_experiment signature wraps) enforce it per cell.
+//
+// Probes (FlowIncidenceIndex::affected_flows, GroupIncidence::affected_flows)
+// take a caller-owned (mark, out) pair and cost O(affected flows): each call
+// clears only the marks its previous call left, i.e. the entries of `out`.
+// So pass `mark` with the `out` it was filled alongside, unedited; a `mark`
+// of the wrong size (a fresh pair, or one last used over a different flow
+// universe) is re-zeroed in full.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +56,10 @@ class FlowIncidenceIndex {
   /// Routes every flow of `flows` through the pristine `net` under
   /// `protocol` (same order and hop semantics as the sweep's route_batch)
   /// and records the per-flow dart paths, per-dart flow incidence, per-flow
-  /// delivery outcomes and the demand-weighted pristine LoadMap.  `net` must
-  /// carry no failures and `demands` one rate per flow (throws
-  /// std::invalid_argument otherwise).  Rebuilding reuses storage.
+  /// delivery outcomes, the delivered volume, the undelivered flows and the
+  /// demand-weighted pristine LoadMap.  `net` must carry no failures and
+  /// `demands` one rate per flow (throws std::invalid_argument otherwise).
+  /// Rebuilding reuses storage.
   void build(const net::Network& net, net::ForwardingProtocol& protocol,
              std::span<const sim::FlowSpec> flows, std::span<const double> demands);
 
@@ -69,6 +80,17 @@ class FlowIncidenceIndex {
     return delivered_.at(flow) != 0;
   }
 
+  /// Summed demand of the flows the pristine network delivers.
+  [[nodiscard]] double pristine_delivered_pps() const noexcept {
+    return pristine_delivered_pps_;
+  }
+
+  /// Flows the pristine network does not deliver, ascending (empty unless
+  /// the graph is disconnected or the protocol drops a pristine flow).
+  [[nodiscard]] std::span<const std::uint32_t> pristine_undelivered() const noexcept {
+    return pristine_undelivered_;
+  }
+
   /// Flows whose pristine path crosses dart `d`, sorted ascending, deduped.
   [[nodiscard]] std::span<const std::uint32_t> dart_flows(graph::DartId d) const {
     return {dart_flows_.data() + dart_offsets_.at(d),
@@ -81,9 +103,10 @@ class FlowIncidenceIndex {
 
   /// Collects into `out` the flows whose pristine path crosses any edge of
   /// `failures` (both darts), sorted ascending and deduped.  `mark` is
-  /// caller-owned scratch, resized to flow_count() and left with mark[f] != 0
-  /// exactly for the collected flows -- sweep cells reuse it to test
-  /// affectedness per flow without a second lookup.
+  /// caller-owned scratch paired with `out` (see the top of this header),
+  /// sized to flow_count() and left with mark[f] != 0 exactly for the
+  /// collected flows -- sweep cells reuse it to test affectedness per flow
+  /// without a second lookup.
   void affected_flows(const graph::EdgeSet& failures, std::vector<std::uint8_t>& mark,
                       std::vector<std::uint32_t>& out) const;
 
@@ -93,6 +116,8 @@ class FlowIncidenceIndex {
   std::vector<std::size_t> path_offsets_;  ///< flow_count()+1 fenceposts
   std::vector<graph::DartId> path_darts_;
   std::vector<std::uint8_t> delivered_;  ///< pristine delivery per flow
+  double pristine_delivered_pps_ = 0.0;
+  std::vector<std::uint32_t> pristine_undelivered_;
   // Per-dart incidence, CSR over flow ids (sorted, deduped per dart).
   std::vector<std::size_t> dart_offsets_;  ///< dart count + 1 fenceposts
   std::vector<std::uint32_t> dart_flows_;
@@ -129,8 +154,8 @@ class GroupIncidence {
   }
 
   /// Union over `groups`, same contract as FlowIncidenceIndex::affected_flows:
-  /// `out` sorted ascending and deduped, `mark` resized to flow_count() with
-  /// mark[f] != 0 exactly for collected flows.
+  /// `out` sorted ascending and deduped, `mark` (paired with `out`) sized to
+  /// flow_count() with mark[f] != 0 exactly for collected flows.
   void affected_flows(std::span<const std::size_t> groups,
                       std::vector<std::uint8_t>& mark,
                       std::vector<std::uint32_t>& out) const;
@@ -143,10 +168,10 @@ class GroupIncidence {
   std::vector<std::uint32_t> group_flows_;
 };
 
-/// Per-worker scratch for incremental sweep cells (affected-flow marks and
-/// the compacted re-route list).  Lives in sim::WorkerContext (and in the
-/// exhaustive storm oracle's loop) so the per-scenario hot loop reuses
-/// capacity.
+/// Per-worker scratch for incremental sweep cells (the affected-flow
+/// (mark, out) probe pair and the compacted re-route list).  Lives in
+/// sim::WorkerContext (and in the exhaustive storm oracle's loop) so the
+/// per-scenario hot loop reuses capacity.
 struct IncidenceScratch {
   std::vector<std::uint8_t> affected_mark;  ///< per-flow affectedness flags
   std::vector<std::uint32_t> affected;      ///< affected flow ids, ascending

@@ -5,9 +5,15 @@
 // forwarding engine adds a flow's demand to every dart the flow traverses --
 // including the partial path of a dropped flow, since those packets occupy
 // real transmitters before being lost.  Maps are plain flat vectors: reset()
-// keeps capacity so the sweep hot loop never allocates, and merge() is an
-// element-wise sum whose canonical call order (scenario order, enforced by
-// the sweep drivers) makes reductions bit-identical at every thread count.
+// keeps capacity so the sweep hot loop never allocates.
+//
+// Determinism: within one cell, the sweep drivers charge on-grid demand
+// (analysis::collect_demand_flows), so every accumulator is an exact multiple
+// of the demand quantum and add() sequences in any order -- including the
+// incremental cell's subtract-then-add delta -- yield the same bits.  merge()
+// sums across scenarios, which can leave that exact range, so callers fold
+// in canonical scenario order (enforced by the sweep drivers) to stay
+// bit-identical at every thread count.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +51,9 @@ class LoadMap {
 
   /// Element-wise accumulation; both maps must cover the same dart count
   /// (throws std::invalid_argument otherwise).  Callers merging sweep shards
-  /// must do so in canonical scenario order -- floating-point sums are order-
-  /// sensitive, and the executor's determinism contract depends on it.
+  /// must do so in canonical scenario order -- cross-scenario sums can leave
+  /// the demand grid's exact range, and the executor's determinism contract
+  /// depends on it.
   void merge(const LoadMap& other);
 
   friend bool operator==(const LoadMap&, const LoadMap&) = default;

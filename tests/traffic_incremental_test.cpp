@@ -1,10 +1,12 @@
-// Tests for the affected-flow incremental traffic sweep core: the
-// FlowIncidenceIndex built from a pristine routing pass, the LoadMap diff
-// helper, and -- the load-bearing guarantee -- bit-identical incremental vs
-// full-re-route experiments across demand matrices, failure depths, every
-// protocol factory and 1/2/8 threads.
+// Tests for the affected-flow incremental traffic sweep core: the demand
+// grid that makes per-cell sums exact, the FlowIncidenceIndex built from a
+// pristine routing pass, the LoadMap diff helper, and -- the load-bearing
+// guarantee -- bit-identical incremental vs full-re-route experiments across
+// demand matrices, failure depths, every protocol factory and 1/2/8 threads.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -30,6 +32,80 @@ using traffic::CapacityPlan;
 using traffic::FlowIncidenceIndex;
 using traffic::LoadMap;
 using traffic::TrafficMatrix;
+
+// ---------------------------------------------------------------------------
+// Demand grid
+
+TEST(DemandGrid, EveryRateIsAPositiveMultipleOfTheQuantum) {
+  const auto g = topo::geant();
+  TrafficMatrix demand = traffic::gravity_demand(g, 1e6);
+  demand.set_demand(0, 1, 1e-30);  // far below one quantum
+
+  const double q = analysis::demand_quantum(demand);
+  EXPECT_EQ(q, std::ldexp(1.0, std::ilogb(demand.total_pps()) + 1 -
+                                   analysis::kDemandGridBits));
+  std::vector<sim::FlowSpec> flows;
+  std::vector<double> demands;
+  analysis::collect_demand_flows(demand, flows, demands);
+  ASSERT_EQ(flows.size(), demand.pair_count());
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const double units = demands[f] / q;
+    EXPECT_EQ(units, std::round(units)) << f;
+    EXPECT_GE(units, 1.0) << f;
+    // Rounding moves a rate by at most half a quantum, unless it lifts a
+    // sub-half-quantum rate to one quantum.
+    const double raw = demand.demand(flows[f].source, flows[f].destination);
+    EXPECT_LE(std::abs(demands[f] - raw), raw < q / 2 ? q : q / 2) << f;
+  }
+  ASSERT_EQ(flows[0].source, 0u);
+  ASSERT_EQ(flows[0].destination, 1u);
+  EXPECT_EQ(demands[0], q);  // the tiny demand stays positive
+
+  EXPECT_EQ(analysis::demand_quantum(TrafficMatrix(g.node_count())), 0.0);
+}
+
+TEST(DemandGrid, OfferedVolumeIsOrderIndependent) {
+  const auto g = topo::geant();
+  graph::Rng rng(5);
+  const auto demand = traffic::hotspot_demand(g, 1e6, 3, 0.3, rng);
+  std::vector<sim::FlowSpec> flows;
+  std::vector<double> demands;
+  const double offered = analysis::collect_demand_flows(demand, flows, demands);
+  double reversed = 0.0;
+  for (auto it = demands.rbegin(); it != demands.rend(); ++it) reversed += *it;
+  EXPECT_EQ(offered, reversed);
+}
+
+TEST(DemandGrid, SweepsRejectDemandTheGridCannotHoldExactly) {
+  // default_ttl = 4 * edges + 16: parallel edges raise it past 2^17 hops on
+  // a tiny graph, so offered/q (>= 2^35) times ttl reaches 2^53.
+  const auto multigraph = [](std::size_t parallel) {
+    graph::Graph g;
+    for (int i = 0; i < 3; ++i) g.add_node();
+    g.add_edge(1, 2);
+    for (std::size_t k = 0; k < parallel; ++k) g.add_edge(0, 1);
+    return g;
+  };
+  // The guard fires before any protocol instance is made.
+  const std::vector<analysis::NamedFactory> protocols = {
+      {"unused", [](const net::Network&) -> std::unique_ptr<net::ForwardingProtocol> {
+         throw std::logic_error("protocol built before validation");
+       }}};
+
+  const graph::Graph big = multigraph(1U << 16);
+  const auto demand = traffic::uniform_demand(big, 1e6);
+  const auto plan = CapacityPlan::uniform(big, 1e6);
+  EXPECT_THROW(analysis::validate_demand_sweep("test", big, demand, plan, protocols),
+               analysis::DemandGridOverflow);
+  EXPECT_THROW((void)analysis::run_traffic_experiment(big, demand, plan, {}, protocols),
+               analysis::DemandGridOverflow);
+
+  // Below 2^17 hops the same demand fits.
+  const graph::Graph fits = multigraph(32000);
+  EXPECT_NO_THROW(analysis::validate_demand_sweep(
+      "test", fits, traffic::uniform_demand(fits, 1e6), CapacityPlan::uniform(fits, 1e6),
+      protocols));
+}
 
 // ---------------------------------------------------------------------------
 // FlowIncidenceIndex
@@ -105,8 +181,20 @@ TEST(FlowIncidenceIndex, RecordsPathsIncidenceAndPristineLoad) {
   EXPECT_NE(mark[1], 0);
   EXPECT_EQ(mark[2], 0);
 
+  // Reusing the pair clears exactly the previous probe's marks.
   index.affected_flows(graph::EdgeSet(g.edge_count()), mark, affected);
   EXPECT_TRUE(affected.empty());
+  EXPECT_EQ(mark, std::vector<std::uint8_t>(flows.size(), 0));
+
+  // A pair sized for another flow universe is re-zeroed in full.
+  std::vector<std::uint8_t> stale(5, 1);
+  std::vector<std::uint32_t> stale_out;
+  index.affected_flows(failures, stale, stale_out);
+  EXPECT_EQ(stale, (std::vector<std::uint8_t>{1, 1, 0}));
+  EXPECT_EQ(stale_out, (std::vector<std::uint32_t>{0, 1}));
+
+  EXPECT_EQ(index.pristine_delivered_pps(), 147.0);
+  EXPECT_TRUE(index.pristine_undelivered().empty());
 }
 
 TEST(FlowIncidenceIndex, RejectsFailedNetworksAndBadDemands) {
@@ -169,8 +257,8 @@ void expect_identical_results(const analysis::TrafficExperimentResult& oracle,
     const auto& full = oracle.protocols[i];
     const auto& inc = incremental.protocols[i];
     EXPECT_EQ(inc.name, full.name) << tag;
-    // Bit-identical doubles, not approximate equality: the incremental replay
-    // must reproduce the oracle's exact floating-point operation sequence.
+    // Bit-identical doubles, not approximate equality: on-grid demand makes
+    // every per-cell sum exact, whatever order the delta cell adds it in.
     EXPECT_EQ(inc.per_scenario, full.per_scenario) << full.name << " " << tag;
     EXPECT_EQ(inc.total_load.load, full.total_load.load) << full.name << " " << tag;
     EXPECT_EQ(inc.total_load.scenarios, full.total_load.scenarios)
@@ -286,9 +374,81 @@ TEST(TrafficIncremental, PartitioningDualFailuresStayIdentical) {
       "ring duals @ 2");
 }
 
+TEST(TrafficIncremental, PristineUndeliveredFlowsMatchTheOracle) {
+  // Two triangles joined by nothing: every cross-component flow is dropped
+  // in the pristine network already, so the delta cell must classify it from
+  // the index's pristine_undelivered() list in every scenario.
+  graph::Graph g;
+  for (int i = 0; i < 6; ++i) g.add_node();
+  for (const graph::NodeId base : {0U, 3U}) {
+    g.add_edge(base, base + 1);
+    g.add_edge(base + 1, base + 2);
+    g.add_edge(base, base + 2, 3.0);
+  }
+  const analysis::ProtocolSuite suite(g);
+  const std::vector<analysis::NamedFactory> protocols = {
+      suite.pr(), suite.lfa(), suite.reconvergence(), suite.spf()};
+  const auto demand = traffic::gravity_demand(g, 6e5);
+  const auto plan = CapacityPlan::uniform(g, 1e5);
+  auto scenarios = net::all_single_failures(g);
+  for (auto& s : net::enumerate_failures(g, 2)) scenarios.push_back(std::move(s));
+
+  std::vector<sim::FlowSpec> flows;
+  std::vector<double> demands;
+  analysis::collect_demand_flows(demand, flows, demands);
+  const net::Network pristine(g);
+  const auto spf = suite.spf().make(pristine);
+  FlowIncidenceIndex index;
+  index.build(pristine, *spf, flows, demands);
+  EXPECT_EQ(index.pristine_undelivered().size(), 18u);  // 2 * 3 * 3 cross pairs
+
+  const auto oracle = analysis::run_traffic_experiment(
+      g, demand, plan, scenarios, protocols, TrafficSweepMode::kFullReroute);
+  for (const auto& p : oracle.protocols) {
+    EXPECT_GT(p.summary().stranded_pps, 0.0) << p.name;
+  }
+  for (const std::size_t threads : {1U, 2U, 8U}) {
+    sim::SweepExecutor executor(threads);
+    expect_identical_results(
+        oracle,
+        analysis::run_traffic_experiment(g, demand, plan, scenarios, protocols,
+                                         executor, TrafficSweepMode::kIncremental),
+        "two components");
+  }
+}
+
+TEST(TrafficIncremental, ChargingOrderDoesNotChangeTheLoad) {
+  // Metamorphic: on-grid demand charged in reverse flow order -- through a
+  // failure that sends PR packets round cycles -- fills the same bits.
+  const auto g = topo::geant();
+  const analysis::ProtocolSuite suite(g);
+  graph::Rng rng(9);
+  const auto demand = traffic::hotspot_demand(g, 1e6, 2, 0.5, rng);
+  std::vector<sim::FlowSpec> flows;
+  std::vector<double> demands;
+  analysis::collect_demand_flows(demand, flows, demands);
+  const std::vector<sim::FlowSpec> flows_rev(flows.rbegin(), flows.rend());
+  const std::vector<double> demands_rev(demands.rbegin(), demands.rend());
+
+  for (const graph::EdgeId failed : {0U, 7U, 20U}) {
+    net::Network network(g);
+    network.fail_link(failed);
+    const auto pr = suite.pr().make(network);
+    LoadMap forward;
+    LoadMap reverse;
+    sim::BatchResult batch;
+    sim::route_batch(network, *pr, flows, demands, forward, sim::TraceMode::kStats,
+                     batch);
+    sim::route_batch(network, *pr, flows_rev, demands_rev, reverse,
+                     sim::TraceMode::kStats, batch);
+    EXPECT_EQ(forward, reverse) << "edge " << failed;
+    EXPECT_TRUE(traffic::diff(forward, reverse).identical()) << "edge " << failed;
+  }
+}
+
 TEST(TrafficIncremental, ScenarioTouchingNoPristinePathReroutesZeroFlows) {
   // Triangle with one expensive edge: no pristine shortest path crosses it,
-  // so failing it must re-route nothing -- the replay alone is the answer --
+  // so failing it must re-route nothing -- the pristine cell is the answer --
   // while the metrics still match the full oracle bit for bit.
   graph::Graph g;
   const auto a = g.add_node("A");

@@ -40,6 +40,7 @@ REQUIRED_KEYS = {
     ],
     "traffic_sweep": [
         "topologies",
+        "demand_quantum_pps",
         "ms_incremental",
         "speedup_incremental",
         "affected_flow_fraction",

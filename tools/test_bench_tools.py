@@ -120,6 +120,10 @@ class SchemaCheckTest(unittest.TestCase):
                     "telemetry_bit_identical"):
             self.assertIn(f'"{key}"', missing)
 
+    def test_traffic_sweep_requires_the_demand_quantum(self):
+        problems = self.check_doc({"bench": "traffic_sweep"})
+        self.assertIn('"demand_quantum_pps"', " ".join(problems))
+
     def test_nested_telemetry_keys_satisfy_backbone_schema(self):
         doc = {
             "bench": "backbone",
