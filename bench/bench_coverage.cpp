@@ -9,7 +9,6 @@
 // planar topologies.
 #include <iostream>
 
-#include "analysis/coverage.hpp"
 #include "analysis/protocols.hpp"
 #include "analysis/report.hpp"
 #include "net/failure_model.hpp"
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
       graph::Rng rng(seed + k);
       const auto scenarios = net::sample_any_failures(g, k, scenarios_per_k, rng);
       const auto result =
-          analysis::run_coverage_experiment(g, scenarios, protocols, executor);
+          analysis::run_stretch_experiment(g, scenarios, protocols, executor);
       std::cout << "\n-- " << k << " simultaneous failure(s) --\n"
                 << analysis::format_coverage_report(result);
     }

@@ -43,7 +43,7 @@ int main() {
                 << suite.embedding().faces.face_count() << std::setw(10)
                 << (suite.embedding().supports_pr() ? "yes" : "no") << std::setw(14)
                 << std::fixed << std::setprecision(3) << p.mean_finite_stretch()
-                << std::setw(13) << p.max_finite_stretch() << p.dropped << "\n";
+                << std::setw(13) << p.max_finite_stretch() << p.dropped() << "\n";
     }
     std::cout << "\n";
   }

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/coverage.hpp"
 #include "analysis/stretch.hpp"
 
 namespace pr::analysis {
@@ -24,7 +23,8 @@ namespace pr::analysis {
 [[nodiscard]] std::string format_stretch_report(const StretchExperimentResult& result,
                                                 std::span<const double> xs);
 
-/// Renders the coverage table of ablation A2.
-[[nodiscard]] std::string format_coverage_report(const CoverageResult& result);
+/// Renders the coverage table of ablation A2 from the same experiment's
+/// delivered / dropped-reachable / dropped-partitioned counters.
+[[nodiscard]] std::string format_coverage_report(const StretchExperimentResult& result);
 
 }  // namespace pr::analysis

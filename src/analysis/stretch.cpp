@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "graph/connectivity.hpp"
 #include "sim/forwarding_engine.hpp"
 #include "sim/parallel_sweep.hpp"
 
@@ -64,18 +65,24 @@ double ProtocolStretch::mean_finite_stretch() const {
 namespace {
 
 /// Flow list of one scenario in the canonical (s, t) order every sweep uses:
-/// all ordered pairs whose pristine path crosses a failed edge.
+/// all ordered pairs whose pristine path crosses a failed edge, with their
+/// pristine costs and a parallel recoverability flag (same component in the
+/// failed graph).
 void collect_affected_flows(const graph::Graph& g, const route::RoutingDb& pristine,
                             const graph::EdgeSet& failures,
                             std::vector<sim::FlowSpec>& flows,
-                            std::vector<double>& base_costs) {
+                            std::vector<double>& base_costs,
+                            std::vector<char>& recoverable) {
+  const auto components = graph::connected_components(g, &failures);
   flows.clear();
   base_costs.clear();
+  recoverable.clear();
   for (NodeId s = 0; s < g.node_count(); ++s) {
     for (NodeId t = 0; t < g.node_count(); ++t) {
       if (s == t || !path_affected(pristine, s, t, failures)) continue;
       flows.push_back(sim::FlowSpec{s, t});
       base_costs.push_back(pristine.cost(s, t));
+      recoverable.push_back(components[s] == components[t] ? 1 : 0);
     }
   }
 }
@@ -100,14 +107,16 @@ StretchExperimentResult run_stretch_experiment(
   StretchExperimentResult result;
   result.scenarios = scenarios.size();
   result.protocols.reserve(protocols.size());
-  for (const auto& p : protocols) result.protocols.push_back(ProtocolStretch{p.name, {}, 0, 0});
+  for (const auto& p : protocols) {
+    result.protocols.push_back(ProtocolStretch{p.name, {}, 0, 0, 0});
+  }
 
-  // A ring of `window` slots hands each scenario's samples, in flow order,
-  // from the worker that routed them to the canonical-order fold below.
+  // A ring of `window` slots hands each scenario's per-protocol counters and
+  // samples, in flow order, from the worker that routed them to the
+  // canonical-order fold below.
   struct Slot {
     std::size_t affected = 0;
-    std::vector<std::size_t> delivered;          // per protocol
-    std::vector<std::vector<double>> stretches;  // per protocol, in flow order
+    std::vector<ProtocolStretch> protocols;
   };
   const std::size_t window = executor.default_ordered_window();
   std::vector<Slot> slots(window);
@@ -118,12 +127,14 @@ StretchExperimentResult run_stretch_experiment(
     net::Network network(g);
     for (graph::EdgeId e : failures.elements()) network.fail_link(e);
 
-    collect_affected_flows(g, pristine, failures, ctx.flows, ctx.base_costs);
+    collect_affected_flows(g, pristine, failures, ctx.flows, ctx.base_costs, ctx.flags);
     Slot& slot = slots[unit % window];
     slot.affected = ctx.flows.size();
-    slot.delivered.assign(protocols.size(), 0);
-    slot.stretches.resize(protocols.size());
-    for (auto& samples : slot.stretches) samples.clear();
+    slot.protocols.resize(protocols.size());
+    for (auto& p : slot.protocols) {
+      p.stretches.clear();
+      p.delivered = p.dropped_reachable = p.dropped_partitioned = 0;
+    }
     if (ctx.flows.empty()) return;
 
     for (std::size_t i = 0; i < protocols.size(); ++i) {
@@ -133,13 +144,16 @@ StretchExperimentResult run_stretch_experiment(
       const auto instance = make_protocol(protocols[i], network, ctx.routes);
       sim::route_batch(network, *instance, ctx.flows, sim::TraceMode::kStats,
                        ctx.batch);
-      auto& samples = slot.stretches[i];
+      ProtocolStretch& out = slot.protocols[i];
       for (std::size_t f = 0; f < ctx.batch.size(); ++f) {
         if (ctx.batch[f].delivered()) {
-          ++slot.delivered[i];
-          samples.push_back(ctx.batch[f].cost / ctx.base_costs[f]);
+          ++out.delivered;
+          out.stretches.push_back(ctx.batch[f].cost / ctx.base_costs[f]);
+        } else if (ctx.flags[f] != 0) {
+          ++out.dropped_reachable;
+          out.stretches.push_back(std::numeric_limits<double>::infinity());
         } else {
-          samples.push_back(std::numeric_limits<double>::infinity());
+          ++out.dropped_partitioned;
         }
       }
     }
@@ -150,11 +164,13 @@ StretchExperimentResult run_stretch_experiment(
     const Slot& slot = slots[unit % window];
     result.affected_pairs += slot.affected;
     for (std::size_t i = 0; i < protocols.size(); ++i) {
+      const ProtocolStretch& part = slot.protocols[i];
       ProtocolStretch& agg = result.protocols[i];
-      agg.delivered += slot.delivered[i];
-      agg.dropped += slot.stretches[i].size() - slot.delivered[i];
-      agg.stretches.insert(agg.stretches.end(), slot.stretches[i].begin(),
-                           slot.stretches[i].end());
+      agg.delivered += part.delivered;
+      agg.dropped_reachable += part.dropped_reachable;
+      agg.dropped_partitioned += part.dropped_partitioned;
+      agg.stretches.insert(agg.stretches.end(), part.stretches.begin(),
+                           part.stretches.end());
     }
   };
   const sim::RunControl control;

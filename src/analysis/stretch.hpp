@@ -1,10 +1,24 @@
-// Path-length stretch analysis (the paper's Section 6 metric).
+// Stretch and repair-coverage analysis: the paper's Section 6 metric and
+// its zero-loss claim, measured from one sweep.
+//
+// For every failure scenario the sweep routes each ordered pair whose
+// pristine shortest path crosses a failed link (unaffected pairs have
+// stretch 1 under every scheme and carry no information).  Scenarios may
+// partition the graph, so each routed flow lands in one of three counters:
+//   delivered            -- the packet reached its destination;
+//   dropped-reachable    -- it was lost although a path still existed (a
+//                           protocol coverage gap: LFA without an alternate,
+//                           the 1-bit PR variant looping until TTL, ...);
+//   dropped-partitioned  -- the failure set put source and destination in
+//                           different components; no scheme can deliver.
+// PR with DD bits must show zero dropped-reachable -- the paper's central
+// guarantee -- and the property suites enforce it.
 //
 // "We define the stretch of a path as the ratio between the total path cost
 //  while cycle following and the path cost of the normal shortest path."
-// The Figure 2 curves plot the complementary CDF P(Stretch > x | path),
-// conditioned on paths affected by the failure scenario (unaffected pairs
-// have stretch 1 under every scheme and carry no information).
+// Stretch samples are taken over recoverable pairs only (delivered plus
+// dropped-reachable), so the Figure 2 curves plot P(Stretch > x | affected
+// path still connected); a dropped-reachable packet is an infinite sample.
 #pragma once
 
 #include <functional>
@@ -25,7 +39,8 @@ class SweepExecutor;
 namespace pr::analysis {
 
 /// Empirical complementary CDF of `samples` evaluated at each x in `xs`:
-/// P(sample > x).  Infinite samples (dropped packets) inflate every point.
+/// P(sample > x).  Infinite samples (dropped-reachable packets) inflate
+/// every point.
 [[nodiscard]] std::vector<double> ccdf(std::span<const double> samples,
                                        std::span<const double> xs);
 
@@ -66,11 +81,33 @@ struct NamedFactory {
 /// Aggregate outcome of one protocol across all scenarios and affected pairs.
 struct ProtocolStretch {
   std::string name;
-  /// One entry per (scenario, affected ordered pair): cost ratio, or +inf for
-  /// packets the protocol failed to deliver.
+  /// One entry per (scenario, affected ordered pair left connected by the
+  /// failure set): cost ratio, or +inf for a dropped-reachable packet.  So
+  /// stretches.size() == delivered + dropped_reachable.
   std::vector<double> stretches;
   std::size_t delivered = 0;
-  std::size_t dropped = 0;
+  std::size_t dropped_reachable = 0;
+  std::size_t dropped_partitioned = 0;
+
+  [[nodiscard]] std::size_t dropped() const noexcept {
+    return dropped_reachable + dropped_partitioned;
+  }
+  [[nodiscard]] std::size_t total() const noexcept { return delivered + dropped(); }
+  /// Fraction of *recoverable* packets delivered (partitioned pairs excluded).
+  ///
+  /// Pinned corner semantics (regression-tested, always NaN-free): the
+  /// vacuous 1.0 is reserved for genuinely empty sweeps -- nothing routed at
+  /// all.  A sweep that routed traffic but had zero recoverable packets
+  /// (every drop was a partition) reports 0.0: it delivered nothing, and
+  /// advertising 100% coverage for a blackout would be misleading even when
+  /// no scheme could have done better.
+  [[nodiscard]] double coverage() const noexcept {
+    const std::size_t recoverable = delivered + dropped_reachable;
+    if (recoverable > 0) {
+      return static_cast<double>(delivered) / static_cast<double>(recoverable);
+    }
+    return total() == 0 ? 1.0 : 0.0;
+  }
 
   [[nodiscard]] double max_finite_stretch() const;
   [[nodiscard]] double mean_finite_stretch() const;
@@ -83,16 +120,17 @@ struct StretchExperimentResult {
 };
 
 /// Runs every protocol over every failure scenario and every affected ordered
-/// source/destination pair, measuring the cost of the route each packet
-/// actually travelled against the pristine shortest-path cost.  Runs the
-/// executor overload's sweep on a 1-thread executor.
+/// source/destination pair, classifying each outcome and measuring the cost
+/// of the route each recoverable packet actually travelled against the
+/// pristine shortest-path cost.  Runs the executor overload's sweep on a
+/// 1-thread executor.
 [[nodiscard]] StretchExperimentResult run_stretch_experiment(
     const graph::Graph& g, std::span<const graph::EdgeSet> scenarios,
     const std::vector<NamedFactory>& protocols);
 
 /// The stretch sweep: scenarios are work units on `executor`, each routed
 /// with the worker's reusable batch buffers and folded in canonical scenario
-/// order.  Results (counts, stretch samples and their order) are
+/// order.  Results (the three counters, stretch samples and their order) are
 /// bit-identical for every thread count.  A failing scenario throws
 /// sim::SweepUnitError.
 [[nodiscard]] StretchExperimentResult run_stretch_experiment(

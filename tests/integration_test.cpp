@@ -2,7 +2,6 @@
 // topology, asserting the cross-module invariants the benches rely on.
 #include <gtest/gtest.h>
 
-#include "analysis/coverage.hpp"
 #include "analysis/protocols.hpp"
 #include "analysis/report.hpp"
 #include "graph/connectivity.hpp"
@@ -63,7 +62,7 @@ TEST_P(TopologyPipeline, SingleFailureFigureShape) {
 
   ASSERT_EQ(result.protocols.size(), 3U);
   for (const auto& p : result.protocols) {
-    EXPECT_EQ(p.dropped, 0U) << p.name;
+    EXPECT_EQ(p.dropped(), 0U) << p.name;
     for (double s : p.stretches) EXPECT_GE(s, 1.0 - 1e-12);
   }
   // Protocol ordering, mean and pointwise CCDF.
@@ -101,7 +100,7 @@ TEST_P(TopologyPipeline, CoverageClassificationConsistent) {
   const ProtocolSuite suite(g);
   graph::Rng rng(123);
   const auto scenarios = net::sample_any_failures(g, 3, 25, rng);
-  const auto result = analysis::run_coverage_experiment(
+  const auto result = analysis::run_stretch_experiment(
       g, scenarios, {suite.pr(), suite.fcp(), suite.spf()});
 
   const auto& pr_cov = result.protocols[0];

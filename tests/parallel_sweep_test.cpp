@@ -2,15 +2,16 @@
 // (sim/parallel_sweep.hpp).
 //
 // The executor is only allowed to be fast, not different: for every thread
-// count the coverage counts, stretch sample sequences and floating-point
-// aggregates must be bit-identical to a 1-thread sweep (and the aggregates to
-// plain route_batch loops), and the per-unit RNG streams must depend on the
-// unit index alone.  The suite also
-// pins the ProtocolCoverage::coverage() corner semantics.
+// count the delivery and drop counters, stretch sample sequences and
+// floating-point aggregates must be bit-identical to a 1-thread sweep (and
+// the aggregates to plain route_batch loops), and the per-unit RNG streams
+// must depend on the unit index alone.  The suite also pins the
+// ProtocolStretch::coverage() corner semantics.
 #include "sim/parallel_sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -18,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/coverage.hpp"
 #include "analysis/protocols.hpp"
 #include "graph/generators.hpp"
 #include "graph/rng.hpp"
@@ -239,27 +239,13 @@ void expect_identical_stretch(const analysis::StretchExperimentResult& one_threa
     const auto& p = parallel.protocols[i];
     EXPECT_EQ(p.name, s.name);
     EXPECT_EQ(p.delivered, s.delivered) << s.name << " @ " << threads << " threads";
-    EXPECT_EQ(p.dropped, s.dropped) << s.name << " @ " << threads << " threads";
-    // Bit-identical doubles in the 1-thread sample order, not approximate
-    // equality: the canonical-order fold is exact by construction.
-    EXPECT_EQ(p.stretches, s.stretches) << s.name << " @ " << threads << " threads";
-  }
-}
-
-void expect_identical_coverage(const analysis::CoverageResult& one_thread,
-                               const analysis::CoverageResult& parallel,
-                               std::size_t threads) {
-  ASSERT_EQ(parallel.protocols.size(), one_thread.protocols.size());
-  EXPECT_EQ(parallel.scenarios, one_thread.scenarios);
-  for (std::size_t i = 0; i < one_thread.protocols.size(); ++i) {
-    const auto& s = one_thread.protocols[i];
-    const auto& p = parallel.protocols[i];
-    EXPECT_EQ(p.name, s.name);
-    EXPECT_EQ(p.delivered, s.delivered) << s.name << " @ " << threads << " threads";
     EXPECT_EQ(p.dropped_reachable, s.dropped_reachable)
         << s.name << " @ " << threads << " threads";
     EXPECT_EQ(p.dropped_partitioned, s.dropped_partitioned)
         << s.name << " @ " << threads << " threads";
+    // Bit-identical doubles in the 1-thread sample order, not approximate
+    // equality: the canonical-order fold is exact by construction.
+    EXPECT_EQ(p.stretches, s.stretches) << s.name << " @ " << threads << " threads";
   }
 }
 
@@ -275,21 +261,13 @@ TEST(ParallelSweepDeterminismTest, MatchesOneThreadOnRandomTopologies) {
     auto scenarios = net::sample_any_failures(g, 2, 10, rng);
     for (auto& s : net::all_single_failures(g)) scenarios.push_back(std::move(s));
 
-    // The executor-less signatures run the same sweep on one thread.
-    const auto one_thread_stretch =
-        analysis::run_stretch_experiment(g, scenarios, protocols);
-    const auto one_thread_coverage =
-        analysis::run_coverage_experiment(g, scenarios, protocols);
+    // The executor-less signature runs the same sweep on one thread.
+    const auto one_thread = analysis::run_stretch_experiment(g, scenarios, protocols);
 
     for (const std::size_t threads : {1U, 2U, 8U}) {
       SweepExecutor executor(threads);
       expect_identical_stretch(
-          one_thread_stretch,
-          analysis::run_stretch_experiment(g, scenarios, protocols, executor),
-          threads);
-      expect_identical_coverage(
-          one_thread_coverage,
-          analysis::run_coverage_experiment(g, scenarios, protocols, executor),
+          one_thread, analysis::run_stretch_experiment(g, scenarios, protocols, executor),
           threads);
     }
   }
@@ -331,16 +309,43 @@ TEST(ParallelSweepDeterminismTest, ScenarioRoutingCacheKeepsSweepsBitIdentical) 
   }
 
   const auto one_thread = analysis::run_stretch_experiment(g, scenarios, protocols);
-  const auto one_thread_cov = analysis::run_coverage_experiment(g, scenarios, protocols);
   for (const std::size_t threads : {1U, 2U, 8U}) {
     SweepExecutor executor(threads);
     expect_identical_stretch(
         one_thread, analysis::run_stretch_experiment(g, scenarios, protocols, executor),
         threads);
-    expect_identical_coverage(
-        one_thread_cov,
-        analysis::run_coverage_experiment(g, scenarios, protocols, executor),
-        threads);
+  }
+}
+
+TEST(ParallelSweepDeterminismTest, PartitionedPairsCountOnceAndNeverAsSamples) {
+  // One sweep scores stretch and coverage together.  Over partitioning
+  // scenarios every affected pair lands in exactly one counter, partitions
+  // are a fact of the scenario (equal for every protocol), and only
+  // dropped-reachable packets become infinite stretch samples.
+  graph::Rng rng(0xC0DE);
+  const graph::Graph g = graph::random_two_edge_connected(12, 6, rng);
+  const analysis::ProtocolSuite suite(g);
+  const auto protocols = six_protocols(suite);
+  const auto scenarios = net::sample_any_failures(g, 3, 30, rng);
+
+  for (const std::size_t threads : {1U, 2U, 8U}) {
+    SweepExecutor executor(threads);
+    const auto result =
+        analysis::run_stretch_experiment(g, scenarios, protocols, executor);
+    ASSERT_GT(result.protocols[0].dropped_partitioned, 0U) << "no scenario partitions";
+    std::size_t reachable_drops = 0;
+    for (const auto& p : result.protocols) {
+      reachable_drops += p.dropped_reachable;
+      EXPECT_EQ(p.total(), result.affected_pairs) << p.name << " @ " << threads;
+      EXPECT_EQ(p.dropped_partitioned, result.protocols[0].dropped_partitioned)
+          << p.name << " @ " << threads;
+      const auto infinite = static_cast<std::size_t>(std::count_if(
+          p.stretches.begin(), p.stretches.end(), [](double x) { return std::isinf(x); }));
+      EXPECT_EQ(infinite, p.dropped_reachable) << p.name << " @ " << threads;
+      EXPECT_EQ(p.stretches.size(), p.delivered + p.dropped_reachable)
+          << p.name << " @ " << threads;
+    }
+    EXPECT_GT(reachable_drops, 0U) << "no protocol leaves a coverage gap";
   }
 }
 
@@ -388,12 +393,12 @@ TEST(ParallelSweepDeterminismTest, AggregateCostBitIdenticalToSerialBatches) {
 }
 
 // ---------------------------------------------------------------------------
-// ProtocolCoverage::coverage() pinned semantics (regression)
+// ProtocolStretch::coverage() pinned semantics (regression)
 
-TEST(ProtocolCoverageTest, CoverageCornerSemanticsPinned) {
+TEST(ProtocolStretchTest, CoverageCornerSemanticsPinned) {
   const auto make = [](std::size_t delivered, std::size_t reachable,
                        std::size_t partitioned) {
-    return analysis::ProtocolCoverage{"t", delivered, reachable, partitioned};
+    return analysis::ProtocolStretch{"t", {}, delivered, reachable, partitioned};
   };
 
   // A genuinely empty sweep (nothing routed) is vacuously covered.
@@ -409,16 +414,6 @@ TEST(ProtocolCoverageTest, CoverageCornerSemanticsPinned) {
   EXPECT_DOUBLE_EQ(make(3, 1, 2).coverage(), 0.75);
   EXPECT_DOUBLE_EQ(make(4, 0, 0).coverage(), 1.0);
   EXPECT_DOUBLE_EQ(make(4, 0, 9).coverage(), 1.0);
-}
-
-TEST(ProtocolCoverageTest, MergeSumsCounters) {
-  analysis::ProtocolCoverage a{"p", 3, 1, 2};
-  const analysis::ProtocolCoverage b{"p", 4, 0, 5};
-  a.merge(b);
-  EXPECT_EQ(a.delivered, 7u);
-  EXPECT_EQ(a.dropped_reachable, 1u);
-  EXPECT_EQ(a.dropped_partitioned, 7u);
-  EXPECT_EQ(a.total(), 15u);
 }
 
 }  // namespace
