@@ -5,14 +5,18 @@
 // topologies from graph::hierarchical_isp (256 / 1k / 4k routers) are swept
 // with sampled single-link failure scenarios three ways:
 //
-//   1. repair drives: the batched destination-tree drive (orphan subtrees
-//      found through the pristine children index, sparse column restores,
-//      argmax-gated column-max updates) against the per-destination legacy
-//      drive, bit-identity checked before anything is timed
-//      ("repair_speedup" per scale);
+//   1. tree repair: RoutingDb::rebuild (orphan subtrees found through the
+//      pristine children index, sparse column restores, argmax-gated
+//      column-max updates) over the whole scenario set on one warm db
+//      ("batched_ms" per scale).  Every scenario is checked against the
+//      from-scratch oracle before anything is timed: whole tables for every
+//      scenario up to 512 nodes and for a 2-scenario prefix above, and
+//      graph::shortest_paths_to columns at the destinations table_digest
+//      samples for the rest;
 //   2. threads: the same scenario set through SweepExecutor worker pools of
 //      1/2/4/8 threads, each worker repairing on its own warm
 //      ScenarioRoutingCache, digests checked identical across pool sizes;
+//      "speedup" is 1-thread executor ms over T-thread executor ms;
 //   3. batch width: scenarios amortised per fresh cache (widths 1/4/16/64),
 //      pricing the pristine build + incremental-state preparation against
 //      the steady-state repair cost it unlocks.
@@ -22,25 +26,23 @@
 //   {
 //     "bench": "backbone", "repetitions": R, "scenarios_requested": S,
 //     "scales": [ { "name": "isp-1024", "nodes": N, "links": M,
-//         "scenarios": s, "table_mb": ..., "legacy_ms": ...,
-//         "batched_ms": ..., "repair_speedup": ...,
+//         "scenarios": s, "table_mb": ..., "batched_ms": ...,
 //         "scenarios_per_second": ...,
 //         "threads": [ { "threads": T, "ms": ..., "speedup": ... }, ... ],
 //         "batch_width": [ { "width": W, "per_scenario_ms": ... }, ... ],
-//         "phase_ms": { "verify": ..., "legacy": ..., "batched": ...,
-//           "threads": ..., "batch_width": ... }, "peak_rss_mb": ... },
+//         "phase_ms": { "verify": ..., "batched": ..., "threads": ...,
+//           "batch_width": ... }, "peak_rss_mb": ... },
 //       ... ],
-//     "largest_scale_repair_speedup": ...,
 //     "telemetry": { "cache_hit_rate": ..., "repair_fraction": ...,
 //       "counters": {...}, "phases": {...}, "per_worker": [...] },
 //     "peak_rss_mb": ...
 //   }
 //
 // Each scale row carries its own peak-RSS watermark and per-phase wall times
-// (verify / legacy / batched / threads / batch-width), so a memory or time
-// blow-up is attributable to a scale and phase, not just the process total.
-// The telemetry section aggregates obs counters from the thread-curve
-// executors (cache hit rate, SPF repair fraction, per-worker utilization).
+// (verify / batched / threads / batch-width), so a memory or time blow-up is
+// attributable to a scale and phase, not just the process total.  The
+// telemetry section aggregates obs counters from the thread-curve executors
+// (cache hit rate, SPF repair fraction, per-worker utilization).
 //
 // Timings are the best of R repetitions (batch-width curves are cold-start
 // by design and measured once).
@@ -61,6 +63,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
 #include "graph/rng.hpp"
 #include "graph/spf_workspace.hpp"
@@ -97,6 +100,9 @@ double elapsed_ms(Clock::time_point start) {
          1e3;
 }
 
+/// Row and column sampling stride of table_digest (about 61 samples each).
+std::size_t digest_stride(std::size_t n) { return std::max<std::size_t>(1, n / 61); }
+
 /// Sampled-row digest of a routing table: cheap enough to run per scenario
 /// inside timed loops, sensitive enough that any next-hop or cost divergence
 /// at the sampled rows changes it.  FNV-1a.
@@ -107,7 +113,7 @@ std::uint64_t table_digest(const route::RoutingDb& db) {
     h ^= v;
     h *= 1099511628211ULL;
   };
-  const std::size_t stride = std::max<std::size_t>(1, n / 61);
+  const std::size_t stride = digest_stride(n);
   for (graph::NodeId dest = 0; dest < n; dest += stride) {
     for (graph::NodeId at = 0; at < n; at += stride) {
       mix(db.next_dart(at, dest));
@@ -126,12 +132,30 @@ void require_identical(const route::RoutingDb& got, const route::RoutingDb& want
       if (got.next_dart(at, dest) != want.next_dart(at, dest) ||
           got.cost(at, dest) != want.cost(at, dest) ||
           got.hops(at, dest) != want.hops(at, dest)) {
-        throw std::runtime_error("repair drive diverged from oracle: " + where);
+        throw std::runtime_error("tree repair diverged from oracle: " + where);
       }
     }
   }
   if (got.max_discriminator() != want.max_discriminator()) {
     throw std::runtime_error("max discriminator diverged: " + where);
+  }
+}
+
+/// The columns table_digest samples, each checked whole against a
+/// from-scratch graph::shortest_paths_to under the same failures: a per-column
+/// oracle cheap enough to cover every scenario at any scale.
+void require_sampled_columns(const route::RoutingDb& got, const graph::EdgeSet& failures,
+                             const std::string& where) {
+  const graph::Graph& g = got.graph();
+  const std::size_t n = g.node_count();
+  for (graph::NodeId dest = 0; dest < n; dest += digest_stride(n)) {
+    const graph::ShortestPathTree want = graph::shortest_paths_to(g, dest, &failures);
+    for (graph::NodeId at = 0; at < n; ++at) {
+      if (got.next_dart(at, dest) != want.next_dart[at] ||
+          got.cost(at, dest) != want.dist[at] || got.hops(at, dest) != want.hops[at]) {
+        throw std::runtime_error("tree repair diverged from oracle column: " + where);
+      }
+    }
   }
 }
 
@@ -195,7 +219,6 @@ int main(int argc, char** argv) {
        << ",\n  \"scenarios_requested\": " << scenario_count
        << ",\n  \"scales\": [";
 
-  double largest_speedup = 0.0;
   // Shared across scales: the thread-curve executors attribute SPF repairs,
   // cache builds, and per-worker busy time into this registry; the aggregate
   // becomes the JSON telemetry section.  elapsed accumulates executor wall
@@ -213,49 +236,33 @@ int main(int argc, char** argv) {
     graph::Rng scenario_rng(0x5EED0 + target);
     const auto scenarios = sample_single_link(g, scenario_count, scenario_rng);
 
-    // Bit-identity first: batched == legacy == from-scratch.  Full-table
-    // oracle compares are O(n^2) each with a fresh n-Dijkstra build, so the
-    // deep check covers every scenario at small scale and a prefix above.
-    route::RoutingDb batched_db(g);
-    route::RoutingDb legacy_db(g);
+    // Bit-identity first: every scenario against the from-scratch oracle.
+    // Whole-table compares are O(n^2) each with a fresh n-Dijkstra build, so
+    // they cover every scenario at small scale and a prefix above; the rest
+    // are checked column by column at the digest's sampled destinations.
+    route::RoutingDb db(g);
     graph::SpfWorkspace ws;
-    graph::SpfWorkspace legacy_ws;
     const auto verify_t0 = Clock::now();
     const std::size_t deep = n <= 512 ? scenarios.size()
                                       : std::min<std::size_t>(2, scenarios.size());
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      batched_db.rebuild(scenarios[i], ws, route::RepairDrive::kBatchedTrees);
-      legacy_db.rebuild(scenarios[i], legacy_ws, route::RepairDrive::kPerDestination);
+      db.rebuild(scenarios[i], ws);
       const std::string where =
           "isp-" + std::to_string(target) + " scenario " + std::to_string(i);
       if (i < deep) {
-        const route::RoutingDb fresh(g, &scenarios[i]);
-        require_identical(batched_db, fresh, where + " (vs scratch)");
-        require_identical(legacy_db, fresh, where + " (legacy vs scratch)");
-      } else if (table_digest(batched_db) != table_digest(legacy_db)) {
-        throw std::runtime_error("drive digests diverged: " + where);
+        require_identical(db, route::RoutingDb(g, &scenarios[i]), where);
+      } else {
+        require_sampled_columns(db, scenarios[i], where);
       }
     }
-
     const double verify_wall_ms = elapsed_ms(verify_t0);
 
-    // Repair-drive throughput: whole scenario set per timing, warm state.
-    const auto legacy_t0 = Clock::now();
-    const double legacy_ms = best_ms(repetitions, [&] {
-      for (const auto& s : scenarios) {
-        legacy_db.rebuild(s, legacy_ws, route::RepairDrive::kPerDestination);
-      }
-    });
-    const double legacy_wall_ms = elapsed_ms(legacy_t0);
+    // Repair throughput: whole scenario set per timing, warm state.
     const auto batched_t0 = Clock::now();
     const double batched_ms = best_ms(repetitions, [&] {
-      for (const auto& s : scenarios) {
-        batched_db.rebuild(s, ws, route::RepairDrive::kBatchedTrees);
-      }
+      for (const auto& s : scenarios) db.rebuild(s, ws);
     });
     const double batched_wall_ms = elapsed_ms(batched_t0);
-    const double speedup = batched_ms > 0 ? legacy_ms / batched_ms : 0.0;
-    largest_speedup = speedup;  // scales ascend; last write wins
     const double scen_per_s =
         batched_ms > 0 ? static_cast<double>(scenarios.size()) * 1000.0 / batched_ms
                        : 0.0;
@@ -263,13 +270,12 @@ int main(int argc, char** argv) {
     json << (first_scale ? "" : ",") << "\n    { \"name\": \"isp-" << target
          << "\", \"nodes\": " << n << ", \"links\": " << g.edge_count()
          << ", \"scenarios\": " << scenarios.size() << ",\n      \"table_mb\": "
-         << static_cast<double>(batched_db.bytes()) / (1024.0 * 1024.0)
-         << ", \"legacy_ms\": " << legacy_ms << ", \"batched_ms\": " << batched_ms
-         << ",\n      \"repair_speedup\": " << speedup
+         << static_cast<double>(db.bytes()) / (1024.0 * 1024.0)
+         << ", \"batched_ms\": " << batched_ms
          << ", \"scenarios_per_second\": " << scen_per_s;
     first_scale = false;
-    std::cerr << "isp-" << target << " (" << n << " nodes): repair speedup "
-              << speedup << "x, " << scen_per_s << " scenarios/s\n";
+    std::cerr << "isp-" << target << " (" << n << " nodes): " << batched_ms
+              << " ms per scenario set, " << scen_per_s << " scenarios/s\n";
 
     // Thread-scaling curve.  Each worker owns a full warm RoutingDb, so the
     // pool memory is threads * table_mb -- priced out above 1k nodes.
@@ -286,6 +292,7 @@ int main(int argc, char** argv) {
 
       json << ",\n      \"threads\": [";
       bool first_threads = true;
+      double one_thread_ms = 0.0;
       for (const std::size_t threads : {1U, 2U, 4U, 8U}) {
         if (threads_cap != 0 && threads > threads_cap) break;
         sim::SweepExecutor executor(threads);
@@ -302,9 +309,10 @@ int main(int argc, char** argv) {
         const double ms = best_ms(repetitions, [&] {
           executor.run(scenarios.size(), sweep);
         });
+        if (threads == 1) one_thread_ms = ms;
         json << (first_threads ? "" : ",") << "\n        { \"threads\": " << threads
              << ", \"ms\": " << ms << ", \"speedup\": "
-             << (ms > 0 ? batched_ms / ms : 0.0) << " }";
+             << (ms > 0 ? one_thread_ms / ms : 0.0) << " }";
         first_threads = false;
       }
       json << "\n      ]";
@@ -339,19 +347,16 @@ int main(int argc, char** argv) {
     // repetitions included -- not the best-of timing above) and the RSS
     // watermark after this scale finished.
     json << ",\n      \"phase_ms\": { \"verify\": " << verify_wall_ms
-         << ", \"legacy\": " << legacy_wall_ms << ", \"batched\": "
-         << batched_wall_ms << ", \"threads\": " << threads_wall_ms
+         << ", \"batched\": " << batched_wall_ms << ", \"threads\": " << threads_wall_ms
          << ", \"batch_width\": " << elapsed_ms(width_t0)
          << " },\n      \"peak_rss_mb\": " << peak_rss_mb() << " }";
   }
 
-  json << "\n  ],\n  \"largest_scale_repair_speedup\": " << largest_speedup
-       << ",\n  \"telemetry\": " << obs::telemetry_json(registry, telemetry_elapsed_ms)
+  json << "\n  ],\n  \"telemetry\": " << obs::telemetry_json(registry, telemetry_elapsed_ms)
        << ",\n  \"peak_rss_mb\": " << peak_rss_mb() << "\n}\n";
 
   std::cout << json.str();
   util::atomic_write_file("BENCH_backbone.json", json.str());
-  std::cerr << "wrote BENCH_backbone.json (largest-scale repair speedup: "
-            << largest_speedup << "x, peak RSS " << peak_rss_mb() << " MB)\n";
+  std::cerr << "wrote BENCH_backbone.json (peak RSS " << peak_rss_mb() << " MB)\n";
   return 0;
 }

@@ -487,8 +487,7 @@ int main(int argc, char** argv) {
     const std::uint64_t hits = total.get(obs::Counter::kRouteCacheHits);
     const std::uint64_t lookups = hits + total.get(obs::Counter::kRouteCacheRebuilds) +
                                   total.get(obs::Counter::kRouteCachePristineBuilds);
-    const std::uint64_t repairs = total.get(obs::Counter::kSpfRepairs) +
-                                  total.get(obs::Counter::kSpfTreeRepairs);
+    const std::uint64_t repairs = total.get(obs::Counter::kSpfTreeRepairs);
     const std::uint64_t spf_ops = repairs + total.get(obs::Counter::kSpfFullBuilds);
     std::cout << "-- Telemetry: enabled run bit-identical to disabled, overhead "
               << std::setprecision(2) << overhead_fraction * 100.0 << "% ("

@@ -78,78 +78,6 @@ void SpfWorkspace::full_build(const Graph& g, NodeId destination,
   run_impl(g, excluded, dist, hops, next_dart, [](NodeId) { return false; });
 }
 
-void SpfWorkspace::repair(const Graph& g, NodeId destination, const EdgeSet& excluded,
-                          Weight* dist, std::uint32_t* hops, DartId* next_dart) {
-  if (destination >= g.node_count()) {
-    throw std::out_of_range("SpfWorkspace::repair: destination out of range");
-  }
-  if (excluded.empty()) return;  // pristine columns already correct
-  obs::count(obs::Counter::kSpfRepairs);
-  const std::size_t n = g.node_count();
-
-  // 1. Classify every node: a node is orphaned exactly when its pristine tree
-  //    path crosses an excluded edge, i.e. its own next dart failed or its
-  //    tree parent is orphaned.  Memoised walk toward the destination: each
-  //    node is resolved once, so classification is O(n) total.
-  state_.assign(n, kUnknown);
-  state_[destination] = kSafe;
-  bool any_orphans = false;
-  for (NodeId v = 0; v < n; ++v) {
-    if (state_[v] != kUnknown) continue;
-    chain_.clear();
-    NodeId w = v;
-    while (state_[w] == kUnknown) {
-      const DartId d = next_dart[w];
-      if (d == kInvalidDart) {
-        // Pristine-unreachable: removing edges cannot connect it; keep as is.
-        state_[w] = kSafe;
-        break;
-      }
-      if (excluded.contains(dart_edge(d))) {
-        state_[w] = kOrphan;
-        break;
-      }
-      chain_.push_back(w);
-      if (chain_.size() > n) {
-        throw std::logic_error("SpfWorkspace::repair: cycle in pristine tree");
-      }
-      w = g.dart_head(d);
-    }
-    const std::uint8_t resolved = state_[w];
-    any_orphans = any_orphans || resolved == kOrphan;
-    for (const NodeId u : chain_) state_[u] = resolved;
-  }
-  if (!any_orphans) return;
-
-  // 2. Detach the orphaned subtrees and seed the regrow frontier.  Every safe
-  //    node adjacent to an orphan over a surviving edge is pushed once with
-  //    its (final, unchanged) label: the heap then interleaves those boundary
-  //    sources with regrown orphans in exactly the (cost, hops, id) order a
-  //    from-scratch run pops them, so each orphan sees the same relaxation
-  //    sequence -- and therefore records the same parent dart -- as a full
-  //    rebuild.
-  heap_.clear();
-  for (NodeId v = 0; v < n; ++v) {
-    if (state_[v] != kOrphan) continue;
-    dist[v] = kUnreachable;
-    hops[v] = kNoHops;
-    next_dart[v] = kInvalidDart;
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    if (state_[v] != kOrphan) continue;
-    for (const DartId d : g.out_darts(v)) {
-      if (excluded.contains(dart_edge(d))) continue;
-      const NodeId u = g.dart_head(d);
-      if (state_[u] == kSafe && dist[u] < kUnreachable) {
-        state_[u] = kSource;  // push each boundary node once
-        heap_push(Entry{dist[u], hops[u], u});
-      }
-    }
-  }
-  run_impl(g, &excluded, dist, hops, next_dart,
-           [this](NodeId u) { return state_[u] != kOrphan; });
-}
-
 void SpfWorkspace::advance_stamps(std::size_t n) {
   if (stamp_.size() < n) stamp_.resize(n, 0);
   // Marks come in (orphan, seed) pairs; wrap the counter well before the pair
@@ -205,12 +133,14 @@ std::span<const NodeId> SpfWorkspace::repair_tree(const Graph& g,
     }
   }
 
-  // 3. Detach and regrow, exactly as repair(): reset the orphans, push every
-  //    reachable safe node adjacent to an orphan over a surviving edge once
-  //    with its final label, then run the restricted relax loop.  Push order
-  //    differs from repair()'s node-id order, but entries are pairwise
-  //    distinct so the pop order -- and therefore every recorded parent
-  //    dart -- is identical.
+  // 3. Detach the orphans and seed the regrow frontier: every reachable safe
+  //    node adjacent to an orphan over a surviving edge is pushed once with
+  //    its (final, unchanged) label.  The heap then interleaves those
+  //    boundary sources with regrown orphans in exactly the (cost, hops, id)
+  //    order a from-scratch run pops them -- entries are pairwise distinct,
+  //    so push order does not matter -- and each orphan sees the same
+  //    relaxation sequence, and therefore records the same parent dart, as a
+  //    full rebuild.
   for (const NodeId v : orphans_) {
     dist[v] = kUnreachable;
     hops[v] = kNoHops;

@@ -3,27 +3,24 @@
 // Failure sweeps build the same trees over and over (one per destination per
 // scenario), so the SPF core must not allocate per tree.  SpfWorkspace owns
 // the transient state -- an index-based binary heap ordered by the canonical
-// (cost, hops, node-id) key, plus the orphan-classification scratch used by
+// (cost, hops, node-id) key, plus the epoch-stamped orphan marks used by
 // delta repair -- and writes results straight into caller-provided columns
 // (e.g. route::RoutingDb's contiguous destination-major arrays).  Capacity is
 // retained across calls, so a warm workspace allocates nothing.
 //
-// Three entry points:
+// Two entry points:
 //   * full_build: Dijkstra from scratch, bit-identical to the classic
-//     graph::shortest_paths_to (which is now a thin wrapper over it).
-//   * repair: Ramalingam-Reps-style delta repair.  Given columns holding the
-//     PRISTINE (no-exclusions) tree, detaches the subtrees orphaned by the
-//     excluded edges and regrows only them from the surviving boundary,
-//     seeded in the exact (cost, hops, node-id) pop order a from-scratch run
-//     would relax them in -- so the repaired columns are bit-identical
-//     (dist, hops AND next_dart) to a full rebuild under the same exclusions.
-//   * repair_tree: the backbone-sweep fast path.  Same post-state as repair,
-//     but every per-tree cost is O(orphan region), not O(n): orphan subtrees
-//     are discovered by descending precomputed pristine child lists from the
-//     failed tree edges, and all per-node scratch is epoch-stamped so nothing
-//     is cleared per call.  A sweep batching many destination trees per
-//     scenario through one workspace (route::RoutingDb::rebuild) therefore
-//     pays for the trees' damage, not for the topology size.
+//     graph::shortest_paths_to (which is now a thin wrapper over it).  It is
+//     also the oracle every repaired table is tested against.
+//   * repair_tree: Ramalingam-Reps-style delta repair.  Given columns holding
+//     the PRISTINE (no-exclusions) tree, detaches the subtrees orphaned by the
+//     excluded edges and regrows only them from the surviving boundary.  Every
+//     per-tree cost is O(orphan region), not O(n): orphan subtrees are found
+//     by descending precomputed pristine child lists from the failed tree
+//     edges, and all per-node scratch is epoch-stamped so nothing is cleared
+//     per call.  A sweep batching many destination trees per scenario through
+//     one workspace (route::RoutingDb::rebuild) therefore pays for the trees'
+//     damage, not for the topology size.
 #pragma once
 
 #include <cstdint>
@@ -44,16 +41,6 @@ class SpfWorkspace {
   void full_build(const Graph& g, NodeId destination, const EdgeSet* excluded,
                   Weight* dist, std::uint32_t* hops, DartId* next_dart);
 
-  /// Delta repair: the columns must currently hold the pristine
-  /// (no-exclusions) tree toward `destination`; on return they hold exactly
-  /// what full_build with `excluded` would have produced.  Cost is
-  /// O(n + affected-region search) instead of a full Dijkstra: nodes whose
-  /// pristine path avoids every excluded edge are provably unchanged
-  /// (removing edges cannot shorten a surviving path, and the deterministic
-  /// parent choice is preserved), so only orphaned subtrees are regrown.
-  void repair(const Graph& g, NodeId destination, const EdgeSet& excluded,
-              Weight* dist, std::uint32_t* hops, DartId* next_dart);
-
   /// Child lists of one destination's pristine shortest-path tree in CSR form:
   /// node v's tree children are ids[offsets[v]] .. ids[offsets[v + 1]], with
   /// offsets absolute into the shared id array (so per-destination slices of
@@ -64,16 +51,20 @@ class SpfWorkspace {
     const NodeId* ids;
   };
 
-  /// Batched-sweep tree repair.  The columns must hold the pristine tree and
-  /// `children` must describe that same tree; on return the columns equal
-  /// what repair() / a from-scratch build with `excluded` would produce, bit
-  /// for bit.  Unlike repair(), no step scans all n nodes: the orphan set is
-  /// the union of pristine subtrees hanging below excluded tree edges, found
-  /// by descending the child lists from the failed darts' tail endpoints, and
-  /// the per-node marks are epoch stamps that are never cleared.  Returns the
-  /// orphan list -- the exact set of rows that may now differ from pristine
-  /// (callers use it for sparse restores); valid until the next workspace
-  /// call.
+  /// Delta repair.  The columns must hold the pristine (no-exclusions) tree
+  /// and `children` must describe that same tree; on return the columns hold
+  /// exactly what full_build with `excluded` would have produced -- dist,
+  /// hops AND next_dart, bit for bit.  Nodes whose pristine path avoids every
+  /// excluded edge are provably unchanged (removing edges cannot shorten a
+  /// surviving path, and the deterministic parent choice is preserved), so
+  /// only orphans are regrown: they are seeded from the surviving boundary in
+  /// the exact (cost, hops, node-id) pop order a from-scratch run relaxes
+  /// them in.  No step scans all n nodes: the orphan set is the union of
+  /// pristine subtrees hanging below excluded tree edges, found by descending
+  /// the child lists from the failed darts' tail endpoints, and the per-node
+  /// marks are epoch stamps that are never cleared.  Returns the orphan list
+  /// -- the exact set of rows that may now differ from pristine (callers use
+  /// it for sparse restores); valid until the next workspace call.
   [[nodiscard]] std::span<const NodeId> repair_tree(const Graph& g,
                                                     const EdgeSet& excluded,
                                                     Weight* dist, std::uint32_t* hops,
@@ -96,20 +87,12 @@ class SpfWorkspace {
     }
   };
 
-  /// Node roles during repair.
-  enum : std::uint8_t {
-    kUnknown = 0,  ///< orphan status not yet resolved
-    kSafe = 1,     ///< pristine path survives; label and parent keep
-    kOrphan = 2,   ///< pristine path crosses an excluded edge; regrow
-    kSource = 3,   ///< safe boundary node already pushed as a repair seed
-  };
-
   void heap_push(Entry e);
   [[nodiscard]] Entry heap_pop();
 
   /// Shared pop/relax loop.  `skip_relax(u)` vetoes label updates for node u;
-  /// repair passes filters that restrict relaxation to orphans (safe labels
-  /// are final and the reference run could never improve them either).
+  /// repair_tree passes a filter that restricts relaxation to orphans (safe
+  /// labels are final and the reference run could never improve them either).
   template <typename SkipRelax>
   void run_impl(const Graph& g, const EdgeSet* excluded, Weight* dist,
                 std::uint32_t* hops, DartId* next_dart, SkipRelax skip_relax);
@@ -119,8 +102,7 @@ class SpfWorkspace {
   void advance_stamps(std::size_t n);
 
   std::vector<Entry> heap_;
-  std::vector<std::uint8_t> state_;  ///< per-node role during repair
-  std::vector<NodeId> chain_;        ///< memoised-walk / subtree-BFS scratch
+  std::vector<NodeId> chain_;         ///< subtree-descent scratch
   std::vector<std::uint32_t> stamp_;  ///< repair_tree per-node epoch marks
   std::uint32_t stamp_cur_ = 0;       ///< current orphan mark (seed = cur + 1)
   std::vector<NodeId> orphans_;       ///< repair_tree result list

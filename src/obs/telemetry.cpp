@@ -12,7 +12,6 @@ thread_local Counters* g_thread_sink = nullptr;
 const char* to_string(Counter c) noexcept {
   switch (c) {
     case Counter::kSpfFullBuilds: return "spf_full_builds";
-    case Counter::kSpfRepairs: return "spf_repairs";
     case Counter::kSpfTreeRepairs: return "spf_tree_repairs";
     case Counter::kSpfOrphanNodes: return "spf_orphan_nodes";
     case Counter::kRouteCachePristineBuilds: return "route_cache_pristine_builds";
@@ -81,8 +80,7 @@ std::string telemetry_json(const Registry& registry, double elapsed_ms, int inde
   const std::uint64_t cache_hits = total.get(Counter::kRouteCacheHits);
   const std::uint64_t cache_lookups = cache_hits + total.get(Counter::kRouteCacheRebuilds) +
                                       total.get(Counter::kRouteCachePristineBuilds);
-  const std::uint64_t repairs =
-      total.get(Counter::kSpfRepairs) + total.get(Counter::kSpfTreeRepairs);
+  const std::uint64_t repairs = total.get(Counter::kSpfTreeRepairs);
   const std::uint64_t spf_ops = repairs + total.get(Counter::kSpfFullBuilds);
   const std::uint64_t fcp_hits = total.get(Counter::kFcpMemoHits);
   const std::uint64_t fcp_lookups = fcp_hits + total.get(Counter::kFcpMemoFills);

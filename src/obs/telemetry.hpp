@@ -40,8 +40,7 @@ namespace pr::obs {
 enum class Counter : std::uint16_t {
   // graph::SpfWorkspace -- how scenarios pay for their routing tables.
   kSpfFullBuilds,    ///< from-scratch Dijkstra runs (full_build)
-  kSpfRepairs,       ///< per-destination delta repairs (repair)
-  kSpfTreeRepairs,   ///< batched-drive tree repairs (repair_tree)
+  kSpfTreeRepairs,   ///< delta tree repairs (repair_tree)
   kSpfOrphanNodes,   ///< nodes regrown across all repair_tree calls
   // route::ScenarioRoutingCache -- the per-worker routing-table cache.
   kRouteCachePristineBuilds,

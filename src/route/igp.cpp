@@ -1,6 +1,6 @@
 #include "route/igp.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 namespace pr::route {
 
@@ -10,7 +10,10 @@ using graph::NodeId;
 /// Data-plane forwarding against the per-router tables of the moment.
 class LinkStateIgp::Forwarding final : public net::ForwardingProtocol {
  public:
-  explicit Forwarding(LinkStateIgp& igp) : igp_(&igp) {}
+  /// `tables` is the IGP's shared db: rebuilt in place by every recompute,
+  /// never reallocated (the IGP refuses to recompute on a mutated graph).
+  Forwarding(LinkStateIgp& igp, const RoutingDb& tables)
+      : igp_(&igp), tables_(&tables) {}
 
   [[nodiscard]] net::ForwardingDecision forward(const net::Network& net, NodeId at,
                                                 graph::DartId /*arrived_over*/,
@@ -20,7 +23,7 @@ class LinkStateIgp::Forwarding final : public net::ForwardingProtocol {
     // destination, else the shared pristine snapshot.
     const graph::DartId out = igp_->overlays_[at].next_dart_or(
         packet.destination,
-        igp_->shared_db_.pristine_next_dart(at, packet.destination));
+        tables_->pristine_next_dart(at, packet.destination));
     if (out == graph::kInvalidDart) {
       return net::ForwardingDecision::drop(net::DropReason::kNoRoute);
     }
@@ -34,8 +37,11 @@ class LinkStateIgp::Forwarding final : public net::ForwardingProtocol {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "igp"; }
 
+  [[nodiscard]] const RoutingDb& tables() const noexcept { return *tables_; }
+
  private:
   LinkStateIgp* igp_;
+  const RoutingDb* tables_;
 };
 
 LinkStateIgp::LinkStateIgp(net::Simulator& sim, net::Network& network)
@@ -49,12 +55,8 @@ LinkStateIgp::LinkStateIgp(net::Simulator& sim, net::Network& network, Timings t
     : sim_(&sim),
       network_(&network),
       timings_(timings),
-      shared_db_(network.graph()) {
+      graph_structure_id_(network.graph().structure_id()) {
   const auto& g = network.graph();
-  // Snapshot the pristine columns up front: the data plane resolves overlay
-  // misses against pristine_next_dart() from the very first packet, while the
-  // shared live columns get rebuilt per recompute.
-  shared_db_.prepare_incremental();
   known_failures_.reserve(g.node_count());
   overlays_.resize(g.node_count());
   recompute_pending_.assign(g.node_count(), 0);
@@ -62,12 +64,14 @@ LinkStateIgp::LinkStateIgp(net::Simulator& sim, net::Network& network, Timings t
     known_failures_.emplace_back(g.edge_count());
     overlays_[v].reset(g.node_count());
   }
-  protocol_ = std::make_unique<Forwarding>(*this);
+  // The pristine build: until the first recompute its live columns are what
+  // pristine_next_dart() reads, and later rebuilds keep the same db object.
+  protocol_ = std::make_unique<Forwarding>(
+      *this, tables_.tables(g, graph::EdgeSet(g.edge_count())));
 }
 
 std::size_t LinkStateIgp::table_bytes() const noexcept {
-  std::size_t total = shared_db_.bytes() +
-                      shared_failures_.capacity() * sizeof(graph::EdgeId);
+  std::size_t total = protocol_->tables().bytes();
   for (const auto& overlay : overlays_) total += overlay.bytes();
   return total;
 }
@@ -108,17 +112,16 @@ void LinkStateIgp::schedule_recompute(NodeId v) {
   recompute_pending_[v] = 1;
   sim_->after(timings_.spf_delay, [this, v] {
     recompute_pending_[v] = 0;
-    // Delta-repair the SHARED db to this router's knowledge (skipped when the
-    // previous recompute already left it there -- common once flooding has
-    // equalised the link-state databases), then snapshot the router's sparse
-    // row diff.  No per-router n^2 columns anywhere.
-    const auto known = known_failures_[v].elements();
-    if (known.size() != shared_failures_.size() ||
-        !std::equal(known.begin(), known.end(), shared_failures_.begin())) {
-      shared_db_.rebuild(known_failures_[v], spf_workspace_);
-      shared_failures_.assign(known.begin(), known.end());
+    // Delta-repair the SHARED tables to this router's knowledge (a cache hit
+    // when the previous recompute already left them there -- common once
+    // flooding has equalised the link-state databases), then snapshot the
+    // router's sparse row diff.  No per-router n^2 columns anywhere.
+    const auto& g = network_->graph();
+    if (g.structure_id() != graph_structure_id_) {
+      throw std::logic_error(
+          "LinkStateIgp: graph was mutated since the IGP was built");
     }
-    overlays_[v].assign_row(shared_db_, v);
+    overlays_[v].assign_row(tables_.tables(g, known_failures_[v]), v);
     ++spf_runs_;
     last_update_ = sim_->now();
   });

@@ -21,11 +21,10 @@
 #include <memory>
 #include <vector>
 
-#include "graph/spf_workspace.hpp"
 #include "net/event_sim.hpp"
 #include "net/forwarding.hpp"
 #include "route/overlay.hpp"
-#include "route/routing_db.hpp"
+#include "route/scenario_cache.hpp"
 
 namespace pr::route {
 
@@ -38,7 +37,8 @@ class LinkStateIgp {
   };
 
   /// `sim` and `network` must outlive the IGP.  All routers start with
-  /// tables computed on the pristine topology.
+  /// tables computed on the pristine topology.  The topology must not be
+  /// mutated afterwards: the next recompute throws std::logic_error.
   LinkStateIgp(net::Simulator& sim, net::Network& network, Timings timings);
   LinkStateIgp(net::Simulator& sim, net::Network& network);
 
@@ -70,7 +70,7 @@ class LinkStateIgp {
   /// SPF recomputations performed across all routers.
   [[nodiscard]] std::uint64_t spf_runs() const noexcept { return spf_runs_; }
 
-  /// Total allocator footprint of the routing state: the shared db (live
+  /// Total allocator footprint of the routing state: the shared tables (live
   /// columns + pristine snapshot + rebuild indices) plus every router's COW
   /// overlay.  The number bench_router_memory compares against the O(n^3)
   /// per-router-copies design this replaced.
@@ -89,19 +89,22 @@ class LinkStateIgp {
   Timings timings_;
 
   /// Per-router link-state database (known failed edges), and the COW
-  /// routing state: ONE shared db delta-rebuilt to a recomputing router's
-  /// known-failure set (memoised via shared_failures_, so routers converging
-  /// on the same knowledge share one repair), from which each router keeps
-  /// only its sparse row overlay -- O(n^2) + damage across the network
-  /// instead of the former n full RoutingDb copies (O(n^3)).  The data plane
-  /// resolves lookups overlay-first against the shared pristine snapshot, so
-  /// forwarding is bit-identical to the per-router-copies design.  The
-  /// workspace is shared because the event simulator is single-threaded.
+  /// routing state: ONE shared table set, kept by `tables_` and delta-rebuilt
+  /// to a recomputing router's known-failure set (the cache memoises on the
+  /// exact failure list, so routers converging on the same knowledge share
+  /// one repair), from which each router keeps only its sparse row overlay --
+  /// O(n^2) + damage across the network instead of the former n full
+  /// RoutingDb copies (O(n^3)).  The data plane resolves lookups
+  /// overlay-first against the shared pristine snapshot, so forwarding is
+  /// bit-identical to the per-router-copies design.  One cache suffices
+  /// because the event simulator is single-threaded.
   std::vector<graph::EdgeSet> known_failures_;
-  RoutingDb shared_db_;
-  std::vector<graph::EdgeId> shared_failures_;  ///< set shared_db_ reflects
+  ScenarioRoutingCache tables_;
+  /// Graph::structure_id() at construction.  The cache would answer a mutated
+  /// graph with a fresh pristine build and free the tables the data plane
+  /// reads, so each recompute checks this first and throws instead.
+  std::uint64_t graph_structure_id_ = 0;
   std::vector<RouterTableOverlay> overlays_;
-  graph::SpfWorkspace spf_workspace_;
   std::vector<std::uint8_t> recompute_pending_;
   std::size_t injected_failures_ = 0;
 

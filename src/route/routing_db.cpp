@@ -89,15 +89,6 @@ void RoutingDb::ensure_incremental_state() {
   incremental_ready_ = true;
 }
 
-void RoutingDb::prepare_incremental() {
-  if (baseline_excluded_) {
-    throw std::logic_error(
-        "RoutingDb::prepare_incremental: only supported on a db built without "
-        "a baseline exclusion set");
-  }
-  ensure_incremental_state();
-}
-
 void RoutingDb::build_edge_dest_index() {
   const std::size_t edges = graph_->edge_count();
   edge_dest_offsets_.assign(edges + 1, 0);
@@ -152,27 +143,17 @@ void RoutingDb::build_children_index() {
 }
 
 void RoutingDb::restore_dirty_columns() {
-  // The batched drive records exactly which rows each repair changed, so
-  // undoing the previous scenario replays those rows instead of memcpying
-  // whole O(n) columns -- the second half of making a sweep step cost
-  // O(damage).  The legacy drive leaves no row records (changed_offsets_
-  // empty), falling back to dense column restores.
-  const bool sparse = changed_offsets_.size() == dirty_dests_.size() + 1;
+  // Each rebuild records exactly which rows its repairs changed, so undoing
+  // the previous scenario replays those rows instead of memcpying whole O(n)
+  // columns -- the second half of making a sweep step cost O(damage).
   for (std::size_t c = 0; c < dirty_dests_.size(); ++c) {
     const NodeId dest = dirty_dests_[c];
     const std::size_t base = static_cast<std::size_t>(dest) * node_count_;
-    if (sparse) {
-      for (std::size_t i = changed_offsets_[c]; i < changed_offsets_[c + 1]; ++i) {
-        const std::size_t flat = base + changed_nodes_[i];
-        next_dart_[flat] = pristine_next_dart_[flat];
-        dist_[flat] = pristine_dist_[flat];
-        hops_[flat] = pristine_hops_[flat];
-      }
-    } else {
-      std::copy_n(pristine_next_dart_.data() + base, node_count_,
-                  next_dart_.data() + base);
-      std::copy_n(pristine_dist_.data() + base, node_count_, dist_.data() + base);
-      std::copy_n(pristine_hops_.data() + base, node_count_, hops_.data() + base);
+    for (std::size_t i = changed_offsets_[c]; i < changed_offsets_[c + 1]; ++i) {
+      const std::size_t flat = base + changed_nodes_[i];
+      next_dart_[flat] = pristine_next_dart_[flat];
+      dist_[flat] = pristine_dist_[flat];
+      hops_[flat] = pristine_hops_[flat];
     }
     col_max_disc_[dest] = pristine_col_max_disc_[dest];
   }
@@ -182,7 +163,7 @@ void RoutingDb::restore_dirty_columns() {
 }
 
 void RoutingDb::rebuild(const graph::EdgeSet& excluded,
-                        graph::SpfWorkspace& workspace, RepairDrive drive) {
+                        graph::SpfWorkspace& workspace) {
   if (baseline_excluded_) {
     throw std::logic_error(
         "RoutingDb::rebuild: only supported on a db built without a baseline "
@@ -215,50 +196,39 @@ void RoutingDb::rebuild(const graph::EdgeSet& excluded,
   // the pristine tree state it requires.
   restore_dirty_columns();
 
-  if (drive == RepairDrive::kPerDestination) {
-    for (const NodeId dest : affected_dests_) {
-      dest_flag_[dest] = 0;  // reset the scratch marks for the next rebuild
-      const std::size_t base = static_cast<std::size_t>(dest) * node_count_;
-      workspace.repair(*graph_, dest, excluded, dist_.data() + base,
-                       hops_.data() + base, next_dart_.data() + base);
-      col_max_disc_[dest] = column_max_discriminator(dest);
-      dirty_dests_.push_back(dest);
-    }
-  } else {
-    changed_offsets_.push_back(0);
-    for (const NodeId dest : affected_dests_) {
-      dest_flag_[dest] = 0;
-      const std::size_t base = static_cast<std::size_t>(dest) * node_count_;
-      const std::span<const NodeId> orphans = workspace.repair_tree(
-          *graph_, excluded, dist_.data() + base, hops_.data() + base,
-          next_dart_.data() + base, children_view(dest));
-      if (orphans.empty()) continue;  // defensive: tree untouched, stay clean
-      // The orphan list is exactly the set of rows that may now differ from
-      // pristine: record it for the next restore, and fold the regrown rows
-      // into the column maximum.  Non-orphan rows keep their pristine
-      // discriminators, so unless the pristine argmax row itself was orphaned
-      // the new maximum is max(pristine max, regrown rows' max) -- no column
-      // scan.  (A regrown row CAN shrink its discriminator -- a costlier
-      // surviving path may have fewer hops -- which is why the orphaned-
-      // argmax case rescans instead of assuming monotonicity.)
-      const NodeId argmax = pristine_col_argmax_[dest];
-      bool argmax_orphaned = false;
-      std::uint32_t orphan_max = 0;
-      for (const NodeId v : orphans) {
-        changed_nodes_.push_back(v);
-        argmax_orphaned = argmax_orphaned || v == argmax;
-        const std::size_t flat = base + v;
-        if (dist_[flat] != graph::kUnreachable) {
-          orphan_max = std::max(orphan_max, disc_at(flat));
-        }
+  changed_offsets_.push_back(0);
+  for (const NodeId dest : affected_dests_) {
+    dest_flag_[dest] = 0;
+    const std::size_t base = static_cast<std::size_t>(dest) * node_count_;
+    const std::span<const NodeId> orphans = workspace.repair_tree(
+        *graph_, excluded, dist_.data() + base, hops_.data() + base,
+        next_dart_.data() + base, children_view(dest));
+    if (orphans.empty()) continue;  // defensive: tree untouched, stay clean
+    // The orphan list is exactly the set of rows that may now differ from
+    // pristine: record it for the next restore, and fold the regrown rows
+    // into the column maximum.  Non-orphan rows keep their pristine
+    // discriminators, so unless the pristine argmax row itself was orphaned
+    // the new maximum is max(pristine max, regrown rows' max) -- no column
+    // scan.  (A regrown row CAN shrink its discriminator -- a costlier
+    // surviving path may have fewer hops -- which is why the orphaned-
+    // argmax case rescans instead of assuming monotonicity.)
+    const NodeId argmax = pristine_col_argmax_[dest];
+    bool argmax_orphaned = false;
+    std::uint32_t orphan_max = 0;
+    for (const NodeId v : orphans) {
+      changed_nodes_.push_back(v);
+      argmax_orphaned = argmax_orphaned || v == argmax;
+      const std::size_t flat = base + v;
+      if (dist_[flat] != graph::kUnreachable) {
+        orphan_max = std::max(orphan_max, disc_at(flat));
       }
-      changed_offsets_.push_back(changed_nodes_.size());
-      col_max_disc_[dest] =
-          argmax_orphaned
-              ? column_max_discriminator(dest)
-              : std::max(pristine_col_max_disc_[dest], orphan_max);
-      dirty_dests_.push_back(dest);
     }
+    changed_offsets_.push_back(changed_nodes_.size());
+    col_max_disc_[dest] =
+        argmax_orphaned
+            ? column_max_discriminator(dest)
+            : std::max(pristine_col_max_disc_[dest], orphan_max);
+    dirty_dests_.push_back(dest);
   }
 
   max_discriminator_ = col_max_disc_.empty()

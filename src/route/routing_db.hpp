@@ -26,20 +26,6 @@ enum class DiscriminatorKind : std::uint8_t {
   kWeightedCost,  ///< sum of link weights (requires integral weights)
 };
 
-/// How rebuild() drives the per-destination tree repairs of a scenario.
-enum class RepairDrive : std::uint8_t {
-  /// Batched fast path (default): orphan subtrees discovered by descending
-  /// the pristine children index (O(region) per tree, epoch-stamped scratch),
-  /// restores replay only the rows the previous scenario changed, and column
-  /// maxima are maintained without full column scans.  Bit-identical output.
-  kBatchedTrees,
-  /// The pre-backbone scenario-at-a-time path: per-tree memoised-walk orphan
-  /// classification plus dense column restores and scans, each O(n).  Kept as
-  /// the measured baseline for bench_backbone and as a second oracle in the
-  /// equivalence tests.
-  kPerDestination,
-};
-
 /// All-destinations routing database computed over a graph, optionally minus
 /// an excluded (failed) edge set.  Conceptually one routing table per router;
 /// the hot lookup columns (next dart / cost / hops) are flattened into single
@@ -52,7 +38,9 @@ enum class RepairDrive : std::uint8_t {
 /// bit-identical to constructing a fresh db with that scenario excluded.  The
 /// state powering it -- a pristine column snapshot plus an edge ->
 /// destination-trees membership index -- is materialised lazily on the first
-/// rebuild() call, so never-rebuilt dbs pay nothing for it.
+/// rebuild() call, so never-rebuilt dbs pay nothing for it.  Each affected
+/// tree is repaired by graph::SpfWorkspace::repair_tree; the from-scratch
+/// build above is the oracle the tests hold every rebuilt table to.
 class RoutingDb {
  public:
   RoutingDb(const Graph& g, const graph::EdgeSet* excluded = nullptr,
@@ -66,15 +54,9 @@ class RoutingDb {
   /// orphaned-subtree frontier instead of from scratch.  Rebuilding with an
   /// empty set restores the pristine tables exactly.  `workspace` supplies
   /// the reusable SPF scratch; only available on a db constructed without a
-  /// baseline exclusion set (throws std::logic_error otherwise).
-  void rebuild(const graph::EdgeSet& excluded, graph::SpfWorkspace& workspace,
-               RepairDrive drive = RepairDrive::kBatchedTrees);
-
-  /// Materialises the incremental-rebuild state (pristine snapshot, edge ->
-  /// destination-tree index, children index) up front, so the first real
-  /// rebuild -- or a reader of pristine_next_dart()/dirty_destinations() --
-  /// pays no surprise O(n^2) pass.  Same restrictions as rebuild().
-  void prepare_incremental();
+  /// baseline exclusion set, and throws std::logic_error otherwise or when
+  /// the graph was mutated since construction.
+  void rebuild(const graph::EdgeSet& excluded, graph::SpfWorkspace& workspace);
 
   /// Destinations whose columns currently differ from the pristine tables
   /// (empty when never rebuilt or after an empty-set rebuild).  Consumers:
@@ -158,8 +140,7 @@ class RoutingDb {
   /// first rebuild(), so dbs that never rebuild pay nothing extra.
   void ensure_incremental_state();
 
-  /// Undoes the previous scenario: sparse row restores when the last rebuild
-  /// recorded changed lists (batched drive), dense column memcpys otherwise.
+  /// Undoes the previous scenario by replaying only the rows it changed.
   void restore_dirty_columns();
 
   [[nodiscard]] graph::SpfWorkspace::TreeChildren children_view(
@@ -212,10 +193,9 @@ class RoutingDb {
   // a column when its pristine argmax row was itself orphaned.
   std::vector<NodeId> pristine_col_argmax_;
 
-  // Sparse-restore bookkeeping written by the batched drive: per dirty
+  // Sparse-restore bookkeeping written by every rebuild: per dirty
   // destination, the rows the repair changed (slice c of changed_nodes_ is
-  // changed_offsets_[c] .. changed_offsets_[c + 1]).  Empty changed_offsets_
-  // marks "dense" -- the legacy drive ran, restore whole columns.
+  // changed_offsets_[c] .. changed_offsets_[c + 1]).
   std::vector<std::size_t> changed_offsets_;
   std::vector<NodeId> changed_nodes_;
 };

@@ -27,7 +27,7 @@
 // FCP and static SPF forward on pristine tables and only deviate AT a failed
 // link, and reconvergence's deterministic destination-based SPF provably
 // keeps every next-hop on a surviving pristine path unchanged (removing
-// edges cannot shorten surviving paths; see graph::SpfWorkspace::repair).
+// edges cannot shorten surviving paths; see graph::SpfWorkspace::repair_tree).
 // Debug builds of the traffic sweep (analysis::run_traffic_experiment_resilient,
 // which every run_traffic_experiment signature wraps) enforce it per cell.
 //

@@ -1,7 +1,7 @@
 // Backbone-scale memory/tractability assertions: a 4k-router hierarchical
 // ISP must support a cached single-link sweep and an event-sim convergence
-// episode under hard memory ceilings -- the O(n^2)+damage regime the batched
-// repair drive and the COW overlays exist for.  Excluded from the TSan CI
+// episode under hard memory ceilings -- the O(n^2)+damage regime the SPF tree
+// repair and the COW overlays exist for.  Excluded from the TSan CI
 // regex (single-threaded, and sized for the Release / ASan tiers).
 #include <cstdint>
 #include <vector>

@@ -1,7 +1,6 @@
-// Backbone-sweep equivalence suite: the batched tree-repair drive of
-// RoutingDb::rebuild must be BIT-identical to both the legacy per-destination
-// drive and the from-scratch oracle across generators, partitioning failure
-// sets and scenario sequences; cached sweeps must be bit-identical at any
+// Backbone-sweep equivalence suite: the tree repair of RoutingDb::rebuild
+// must be BIT-identical to the from-scratch oracle across generators,
+// partitioning failure sets and scenario sequences; cached sweeps must be bit-identical at any
 // thread count; incremental LFA resync must equal a fresh per-scenario
 // derivation; and the IGP's copy-on-write overlays must forward exactly like
 // full per-router tables while costing a fraction of their memory.
@@ -36,7 +35,6 @@ using graph::EdgeSet;
 using graph::Graph;
 using graph::NodeId;
 using route::DiscriminatorKind;
-using route::RepairDrive;
 using route::RoutingDb;
 
 /// Bit-identical table comparison: exact double equality (infinities
@@ -89,7 +87,7 @@ std::vector<EdgeSet> scenario_sequence(const Graph& g, graph::Rng& rng) {
   return seq;
 }
 
-TEST(BatchedRepair, BothDrivesMatchScratchOracleAcrossGenerators) {
+TEST(BatchedRepair, BatchedRepairMatchesScratchOracleAcrossGenerators) {
   graph::Rng rng(0xB0B);
   graph::IspParams small_isp;
   small_isp.core = 4;
@@ -103,14 +101,11 @@ TEST(BatchedRepair, BothDrivesMatchScratchOracleAcrossGenerators) {
 
   for (const auto& [name, g] : graphs) {
     RoutingDb batched(g);
-    RoutingDb legacy(g);
     graph::SpfWorkspace ws;
     for (const auto& failures : scenario_sequence(g, rng)) {
-      batched.rebuild(failures, ws);  // default drive: kBatchedTrees
-      legacy.rebuild(failures, ws, RepairDrive::kPerDestination);
+      batched.rebuild(failures, ws);
       const RoutingDb fresh(g, failures.empty() ? nullptr : &failures);
       expect_identical_tables(batched, fresh, name + " batched");
-      expect_identical_tables(legacy, fresh, name + " legacy");
     }
   }
 }
@@ -243,7 +238,6 @@ TEST(CowOverlay, OverlayRowEqualsRebuiltRowForEveryDestination) {
   graph::Rng rng(0xC0);
   const Graph g = graph::random_two_edge_connected(16, 12, rng);
   RoutingDb db(g);
-  db.prepare_incremental();
   graph::SpfWorkspace ws;
   route::RouterTableOverlay overlay;
   overlay.reset(g.node_count());

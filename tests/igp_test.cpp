@@ -1,12 +1,16 @@
 // Tests for the event-driven link-state IGP convergence model.
 #include "route/igp.hpp"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "core/pr_protocol.hpp"
 #include "embed/embedder.hpp"
+#include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
 #include "net/event_sim.hpp"
+#include "obs/telemetry.hpp"
 #include "topo/topologies.hpp"
 
 namespace pr::route {
@@ -96,6 +100,48 @@ TEST(LinkStateIgpTest, PreConvergencePacketsDropPostConvergenceDeliver) {
       EXPECT_DOUBLE_EQ(trace.cost, truth.cost(s, t2));
     }
   }
+}
+
+#if !defined(PR_OBS_DISABLED)
+TEST(LinkStateIgpTest, RoutersWithTheSameKnowledgeShareOneRepair) {
+  IgpFixture fx(topo::geant());
+  const EdgeId failed = 0;
+  // Destinations whose pristine tree uses the failed edge: exactly the trees
+  // one rebuild to {failed} must repair.
+  std::uint64_t affected_trees = 0;
+  for (NodeId dest = 0; dest < fx.g.node_count(); ++dest) {
+    const auto tree = graph::shortest_paths_to(fx.g, dest);
+    for (NodeId v = 0; v < fx.g.node_count(); ++v) {
+      if (tree.next_dart[v] != graph::kInvalidDart &&
+          graph::dart_edge(tree.next_dart[v]) == failed) {
+        ++affected_trees;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(affected_trees, 0U);
+
+  obs::Counters counters;
+  {
+    obs::ScopedSink sink(&counters);
+    fx.sim.at(0.0, [&] { fx.fail(failed); });
+    fx.sim.run();
+  }
+  ASSERT_TRUE(fx.igp.fully_converged());
+  EXPECT_EQ(fx.igp.spf_runs(), fx.g.node_count());
+  // Every router recomputes with the same knowledge, {failed}: the first
+  // recompute repairs each affected tree once and the rest reuse it.
+  EXPECT_EQ(counters.get(obs::Counter::kSpfTreeRepairs), affected_trees);
+}
+#endif
+
+TEST(LinkStateIgpTest, RecomputeOnAMutatedGraphThrows) {
+  IgpFixture fx(topo::abilene());
+  // The shared tables were built for the original weights; re-weighting the
+  // graph underneath the IGP must fail loudly rather than serve stale rows.
+  fx.g.set_edge_weight(1, fx.g.edge_weight(1) + 1.0);
+  fx.sim.at(0.0, [&] { fx.fail(0); });
+  EXPECT_THROW(fx.sim.run(), std::logic_error);
 }
 
 TEST(LinkStateIgpTest, SpfThrottleCoalescesNearbyFailures) {

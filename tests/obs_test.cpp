@@ -45,19 +45,19 @@ using obs::TraceSpan;
 
 TEST(ObsCounters, AddGetMergeReset) {
   Counters a;
-  a.add(Counter::kSpfRepairs);
-  a.add(Counter::kSpfRepairs, 4);
+  a.add(Counter::kSpfTreeRepairs);
+  a.add(Counter::kSpfTreeRepairs, 4);
   a.add_phase(Phase::kUnit, 100);
   a.add_phase(Phase::kUnit, 50);
-  EXPECT_EQ(a.get(Counter::kSpfRepairs), 5u);
+  EXPECT_EQ(a.get(Counter::kSpfTreeRepairs), 5u);
   EXPECT_EQ(a.phase_nanos(Phase::kUnit), 150u);
   EXPECT_EQ(a.phase_calls(Phase::kUnit), 2u);
 
   Counters b;
-  b.add(Counter::kSpfRepairs, 10);
+  b.add(Counter::kSpfTreeRepairs, 10);
   b.add(Counter::kRouteCacheHits, 3);
   b.merge(a);
-  EXPECT_EQ(b.get(Counter::kSpfRepairs), 15u);
+  EXPECT_EQ(b.get(Counter::kSpfTreeRepairs), 15u);
   EXPECT_EQ(b.get(Counter::kRouteCacheHits), 3u);
   EXPECT_EQ(b.phase_nanos(Phase::kUnit), 150u);
 

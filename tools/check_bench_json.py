@@ -54,7 +54,7 @@ REQUIRED_KEYS = {
     ],
     "backbone": [
         "scales",
-        "repair_speedup",
+        "batched_ms",
         "scenarios_per_second",
         "peak_rss_mb",
         # Per-scale attribution + telemetry section.

@@ -124,10 +124,10 @@ class SchemaCheckTest(unittest.TestCase):
         problems = self.check_doc({"bench": "traffic_sweep"})
         self.assertIn('"demand_quantum_pps"', " ".join(problems))
 
-    def test_nested_telemetry_keys_satisfy_backbone_schema(self):
-        doc = {
+    def backbone_doc(self):
+        return {
             "bench": "backbone",
-            "scales": [{"name": "isp-256", "repair_speedup": 2.0,
+            "scales": [{"name": "isp-256", "batched_ms": 2.0,
                         "scenarios_per_second": 10.0,
                         "phase_ms": {"verify": 1.0}, "peak_rss_mb": 5.0}],
             "telemetry": {"cache_hit_rate": 0.5, "repair_fraction": 0.5,
@@ -135,7 +135,15 @@ class SchemaCheckTest(unittest.TestCase):
                           "per_worker": [{"worker": 0, "utilization": 0.9}]},
             "peak_rss_mb": 6.0,
         }
-        self.assertEqual(self.check_doc(doc), [])
+
+    def test_nested_telemetry_keys_satisfy_backbone_schema(self):
+        self.assertEqual(self.check_doc(self.backbone_doc()), [])
+
+    def test_backbone_without_batched_ms_is_reported(self):
+        doc = self.backbone_doc()
+        del doc["scales"][0]["batched_ms"]
+        self.assertEqual(self.check_doc(doc),
+                         ['missing required key "batched_ms" (bench "backbone")'])
 
 
 if __name__ == "__main__":
