@@ -489,6 +489,7 @@ int main(int argc, char** argv) {
                                   total.get(obs::Counter::kRouteCachePristineBuilds);
     const std::uint64_t repairs = total.get(obs::Counter::kSpfTreeRepairs);
     const std::uint64_t spf_ops = repairs + total.get(obs::Counter::kSpfFullBuilds);
+    const std::uint64_t decisions = total.get(obs::Counter::kForwardDecisions);
     std::cout << "-- Telemetry: enabled run bit-identical to disabled, overhead "
               << std::setprecision(2) << overhead_fraction * 100.0 << "% ("
               << std::setprecision(0) << plain_ms << " -> " << telemetry_ms
@@ -498,7 +499,11 @@ int main(int argc, char** argv) {
               << ", SPF repair fraction "
               << (spf_ops > 0 ? static_cast<double>(repairs) / static_cast<double>(spf_ops)
                               : 0.0)
-              << ", " << trace.size() << " trace spans --\n\n";
+              << ", " << std::setprecision(2)
+              << (decisions > 0 ? static_cast<double>(total.get(obs::Counter::kForwardHops)) /
+                                      static_cast<double>(decisions)
+                                : 0.0)
+              << " hops per forwarding decision, " << trace.size() << " trace spans --\n\n";
   }
   json << ",\n  \"telemetry\": " << obs::telemetry_json(registry, telemetry_ms)
        << ",\n  \"telemetry_overhead_fraction\": " << overhead_fraction

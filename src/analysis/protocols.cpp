@@ -24,6 +24,10 @@ class BorrowedProtocol final : public net::ForwardingProtocol {
     return inner_->name();
   }
 
+  [[nodiscard]] bool header_determines_path() const noexcept override {
+    return inner_->header_determines_path();
+  }
+
  private:
   net::ForwardingProtocol* inner_;
 };
@@ -47,6 +51,8 @@ class PostConvergenceLfa final : public net::ForwardingProtocol {
   [[nodiscard]] std::string_view name() const noexcept override {
     return lfa_.name();
   }
+
+  [[nodiscard]] bool header_determines_path() const noexcept override { return true; }
 
  private:
   route::RoutingDb db_;

@@ -86,16 +86,21 @@ CellOutcome price_incremental_cell(
     double offered_pps, const traffic::CapacityPlan& plan,
     std::span<const double> pristine_costs, sim::BatchResult& batch,
     traffic::LoadMap& load, traffic::IncidenceScratch& scratch) {
-  // Re-route the affected flows.  When the scenario touches no pristine path
-  // the protocol instance (and any routing-table repair it would trigger) is
-  // skipped entirely and the pristine cell is the whole answer.
+  // Re-route the affected flows, charging their load into scratch.reroute.
+  // When the scenario touches no pristine path the protocol instance (and
+  // any routing-table repair it would trigger) is skipped entirely and the
+  // pristine cell is the whole answer.
   batch.clear();
   if (!scratch.affected.empty()) {
     scratch.flows.clear();
-    for (const std::uint32_t f : scratch.affected) scratch.flows.push_back(flows[f]);
+    scratch.demands.clear();
+    for (const std::uint32_t f : scratch.affected) {
+      scratch.flows.push_back(flows[f]);
+      scratch.demands.push_back(demands[f]);
+    }
     const auto instance = make_protocol(factory, network, cache);
-    sim::route_batch(network, *instance, scratch.flows, sim::TraceMode::kFullTrace,
-                     batch);
+    sim::route_batch(network, *instance, scratch.flows, scratch.demands,
+                     scratch.reroute, sim::TraceMode::kStats, batch);
   }
 
   // Every term below is a multiple of the demand quantum within the exact
@@ -117,7 +122,6 @@ CellOutcome price_incremental_cell(
     const std::uint32_t f = scratch.affected[a];
     const double rate = demands[f];
     for (const graph::DartId d : index.flow_darts(f)) load.add(d, -rate);
-    for (const graph::DartId d : batch.darts(a)) load.add(d, rate);
     if (index.pristine_delivered(f)) m.delivered_pps -= rate;
     if (!batch[a].delivered()) {
       drop(f);
@@ -128,6 +132,7 @@ CellOutcome price_incremental_cell(
       out.max_stretch = std::max(out.max_stretch, batch[a].cost / pristine_costs[f]);
     }
   }
+  if (!scratch.affected.empty()) load.merge(scratch.reroute);
   // Flows the pristine network already drops stay dropped unless affected
   // (failure locality); the scenario's components still decide lost vs
   // stranded for them.
@@ -140,7 +145,9 @@ CellOutcome price_incremental_cell(
 
 namespace {
 
-/// Routes one (scenario, protocol) cell: demand-weighted batch into `load`,
+/// The kFullReroute oracle for one (scenario, protocol) cell: every flow
+/// walks hop by hop through ForwardingEngine::run, charging `load` per hop
+/// -- deliberately not route_batch, whose orbit compression it checks --
 /// then the full metrics row.  `component` holds the scenario's residual
 /// component ids (graph minus failures) and splits dropped demand into lost
 /// (path existed) vs stranded (partitioned) -- deliberately independent of
@@ -155,17 +162,21 @@ traffic::CongestionMetrics route_cell(const graph::Graph& g,
                                       std::span<const double> demands,
                                       double offered_pps,
                                       const traffic::CapacityPlan& plan,
-                                      sim::BatchResult& batch,
                                       traffic::LoadMap& load) {
   const auto instance = make_protocol(factory, network, cache);
-  sim::route_batch(network, *instance, flows, demands, load,
-                   sim::TraceMode::kStats, batch);
-
+  const sim::ForwardingEngine engine(network, *instance);
+  const std::uint32_t default_ttl = net::default_ttl(g);
+  load.reset(g.dart_count());
   traffic::CongestionMetrics m;
   m.offered_pps = offered_pps;
-  traffic::apply_utilization(m, g, load, plan);
+  sim::FlowState fs;
   for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (batch[f].delivered()) {
+    const sim::FlowSpec& flow = flows[f];
+    fs.reset(flow.source, flow.destination, flow.ttl == 0 ? default_ttl : flow.ttl,
+             flow.traffic_class);
+    const sim::FlowOutcome outcome =
+        engine.run(fs, [&](NodeId) { load.add(fs.arrived_over, demands[f]); });
+    if (outcome.status == net::DeliveryStatus::kDelivered) {
       m.delivered_pps += demands[f];
     } else if (component[flows[f].source] == component[flows[f].destination]) {
       m.lost_pps += demands[f];
@@ -173,6 +184,7 @@ traffic::CongestionMetrics route_cell(const graph::Graph& g,
       m.stranded_pps += demands[f];
     }
   }
+  traffic::apply_utilization(m, g, load, plan);
   return m;
 }
 
@@ -187,11 +199,10 @@ void cross_check_incremental_cell(
     std::span<const double> demands, double offered_pps,
     const traffic::CapacityPlan& plan, const traffic::CongestionMetrics& metrics,
     const traffic::LoadMap& load) {
-  sim::BatchResult oracle_batch;
   traffic::LoadMap oracle_load;
-  const traffic::CongestionMetrics oracle =
-      route_cell(g, network, component, factory, cache, flows, demands,
-                 offered_pps, plan, oracle_batch, oracle_load);
+  const traffic::CongestionMetrics oracle = route_cell(
+      g, network, component, factory, cache, flows, demands, offered_pps, plan,
+      oracle_load);
   const traffic::LoadMapDiff d = traffic::diff(load, oracle_load);
   if (!(metrics == oracle) || !d.identical()) {
     throw std::logic_error(
@@ -295,7 +306,7 @@ TrafficRunResult run_traffic_experiment_resilient(
       if (mode == TrafficSweepMode::kFullReroute) {
         slot.cells[i] = CellOutcome{
             route_cell(g, network, component, protocols[i], ctx.routes, flows,
-                       demands, offered, plan, ctx.batch, load),
+                       demands, offered, plan, load),
             1.0, flows.size()};
       } else {
         indexes[i].affected_flows(network.failed_links(), ctx.incidence.affected_mark,

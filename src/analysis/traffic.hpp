@@ -13,14 +13,17 @@
 //
 // Two sweep modes share that body:
 //   * kFullReroute -- the reference oracle: every scenario re-routes every
-//     flow from scratch, O(flows) protocol decisions per scenario;
+//     flow from scratch, hop by hop through sim::ForwardingEngine::run and
+//     so without route_batch's orbit compression, O(flows) walks per
+//     scenario;
 //   * kIncremental (default) -- one pristine routing pass per protocol builds
 //     a traffic::FlowIncidenceIndex; each scenario then probes it for the
-//     flows whose pristine path crosses a failed edge, re-routes ONLY those,
-//     and prices the cell by delta: the pristine load, minus the affected
-//     flows' pristine rows, plus their re-routed darts.  Work is O(affected
-//     flows), so single-link sweeps pay for the affected fraction (typically
-//     single-digit percent, often far less) instead of all n*(n-1) pairs.
+//     flows whose pristine path crosses a failed edge, re-routes ONLY those
+//     through the demand-weighted route_batch, and prices the cell by delta:
+//     the pristine load, minus the affected flows' pristine rows, plus the
+//     re-routed load.  Work is O(affected flows), so single-link sweeps pay
+//     for the affected fraction (typically single-digit percent, often far
+//     less) instead of all n*(n-1) pairs.
 //
 // Exactness replaces ordering.  collect_demand_flows puts every rate on a
 // power-of-two grid sized so that every per-dart load and every delivered /
@@ -151,9 +154,11 @@ struct CellOutcome {
 /// exhaustive storm oracle.  The caller has already probed the scenario's
 /// affected flows into `scratch` -- per failed edge through
 /// FlowIncidenceIndex or per failed risk group through GroupIncidence, which
-/// find the same set.  The cell re-routes only those, with full traces, sets
-/// `load` to the index's pristine load minus their pristine rows plus their
-/// re-routed darts, and adjusts the pristine delivered volume the same way.
+/// find the same set.  The cell re-routes only those through the
+/// demand-weighted route_batch into scratch.reroute (so a looping flow's
+/// orbit is charged as crossings x demand, not hop by hop), sets `load` to
+/// the index's pristine load minus their pristine rows plus that re-routed
+/// load, and adjusts the pristine delivered volume the same way.
 /// `component` holds the scenario's residual component ids, which split
 /// dropped demand (affected flows that dropped, and the index's
 /// pristine-undelivered flows) into lost vs stranded independently of

@@ -55,10 +55,17 @@ class PacketRecycling final : public net::ForwardingProtocol {
     return variant_ == PrVariant::kSingleBit ? "pr-1bit" : "pr";
   }
 
+  /// Decisions read only the pristine tables, the arrival interface and the
+  /// PR/DD bits, and write only the PR/DD bits.
+  [[nodiscard]] bool header_determines_path() const noexcept override { return true; }
+
   [[nodiscard]] PrVariant variant() const noexcept { return variant_; }
 
   /// Failure encounters that triggered the termination comparison; exposed so
-  /// tests can assert protocol dynamics.
+  /// tests can assert protocol dynamics.  Counts evaluated decisions only:
+  /// under sim::route_batch a looping flow stops calling forward() once its
+  /// orbit is detected (Debug builds add one self-check call per orbit), so
+  /// the count is exact per hop only through net::route_packet.
   [[nodiscard]] std::uint64_t termination_checks() const noexcept {
     return termination_checks_;
   }

@@ -62,6 +62,18 @@ class ForwardingProtocol {
                                                    Packet& packet) = 0;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
+
+  /// Orbit contract: true promises that, for a fixed network and the
+  /// lifetime of the protocol's tables, forward() is a pure function of
+  /// (at, arrived_over, the header without ttl) and mutates no header field
+  /// but pr_bit and dd.  Instrumentation counters may still change.  A flow
+  /// whose post-hop state (arrived_over, pr_bit, dd) repeats is then on an
+  /// orbit it can never leave, so sim::route_batch stops calling forward()
+  /// and replays the orbit until TTL.  Keep the default (false) for any
+  /// protocol whose decision reads a growing header (FCP's failure list),
+  /// the time or other mutable state (a convergence timer), or tables that
+  /// may change while a batch runs.
+  [[nodiscard]] virtual bool header_determines_path() const noexcept { return false; }
 };
 
 enum class DeliveryStatus : std::uint8_t { kDelivered, kDropped };

@@ -58,7 +58,8 @@ enum class Counter : std::uint16_t {
   kFlowsRouted,
   kFlowsDelivered,
   kFlowsDropped,
-  kForwardHops,
+  kForwardHops,       ///< hops charged to flows (orbit replays included)
+  kForwardDecisions,  ///< decide() calls that reached the protocol
   kCycleFollowFlows,  ///< flows that ended in PR cycle-follow mode (pr_bit set)
   kCycleFollowHops,   ///< hops of those flows
   // sim::SweepExecutor -- scheduling.
@@ -245,7 +246,7 @@ class Registry {
 
 /// The "telemetry" JSON object every instrumented bench emits: derived rates
 /// first (cache hit rate, SPF repair fraction, FCP memo hit rate, affected
-/// flow fraction), then raw counter groups, phase wall times, and a
+/// flow fraction, forward hops per protocol decision), then raw counter groups, phase wall times, and a
 /// per-worker utilization table (busy phase-kUnit time over `elapsed_ms` of
 /// wall clock; elapsed_ms <= 0 suppresses the utilization columns).  `indent`
 /// spaces prefix every line after the first so the object nests under any

@@ -60,6 +60,9 @@ class LfaRouting final : public net::ForwardingProtocol {
     return kind_ == LfaKind::kLinkProtecting ? "lfa" : "lfa-node-protecting";
   }
 
+  /// Alternates change only through resync(), never while a batch forwards.
+  [[nodiscard]] bool header_determines_path() const noexcept override { return true; }
+
   [[nodiscard]] LfaKind kind() const noexcept { return kind_; }
 
   /// Fraction of (router, destination) pairs with at least one loop-free

@@ -43,6 +43,8 @@ class ReconvergedRouting final : public net::ForwardingProtocol {
     return "reconvergence";
   }
 
+  [[nodiscard]] bool header_determines_path() const noexcept override { return true; }
+
   [[nodiscard]] const RoutingDb& tables() const noexcept { return *routes_; }
 
  private:

@@ -20,6 +20,8 @@ class StaticSpf final : public net::ForwardingProtocol {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "spf"; }
 
+  [[nodiscard]] bool header_determines_path() const noexcept override { return true; }
+
  private:
   const RoutingDb* routes_;
 };

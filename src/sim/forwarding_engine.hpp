@@ -17,6 +17,27 @@
 //
 // Because all three call decide()/commit(), a timed flight and a synchronous
 // walk of the same flow can never disagree on status, hops or cost.
+//
+// The orbit rule (route_batch only).  For a protocol whose
+// header_determines_path() is true (net/forwarding.hpp), the state after
+// each hop, (arrived_over, pr_bit, dd), fixes every later hop.  Once that
+// state repeats, the flow is on an orbit of lambda darts it can never leave:
+// it will cross them in turn until its TTL runs out and then drop with
+// kTtlExpired.  route_batch finds the repeat with Brent's algorithm (one
+// saved state, plus the darts walked since it was saved, which at detection
+// are exactly the orbit) and stops calling decide().  It then:
+//   * adds the remaining TTL to hops and takes the final header from the
+//     orbit dart the last hop would cross;
+//   * adds the remaining hops' link weights to cost one by one, in hop
+//     order, so cost is bitwise what the per-hop walk sums;
+//   * in the demand-weighted overload, charges each orbit dart once with
+//     crossings x demand, which the demand grid keeps exact
+//     (analysis::validate_demand_sweep bounds offered/quantum x ttl);
+//   * in kFullTrace mode, expands the node and dart sequences by copying.
+// net::route_packet and the event simulator keep the per-hop walk: the
+// first is the oracle the batch is tested against, the second needs
+// per-hop timing.  Debug builds re-run decide() once on each detected state
+// and throw std::logic_error unless it takes the recorded next hop.
 #pragma once
 
 #include <cstdint>
@@ -202,8 +223,19 @@ class BatchResult {
     nodes_.clear();
     darts_.clear();
     offsets_.clear();
+    orbit_.clear();
     delivered_ = 0;
   }
+
+  /// One post-hop state of the flow being routed, as route_batch's orbit
+  /// detection records it (see the top of this header).
+  struct OrbitHop {
+    DartId dart = graph::kInvalidDart;  ///< arrived_over after the hop
+    std::uint32_t dd = 0;
+    bool pr_bit = false;
+
+    friend bool operator==(const OrbitHop&, const OrbitHop&) = default;
+  };
 
  private:
   friend void route_batch(const Network&, ForwardingProtocol&,
@@ -216,6 +248,7 @@ class BatchResult {
   std::vector<NodeId> nodes_;         // full-trace mode: all sequences, flattened
   std::vector<DartId> darts_;         // full-trace mode: hops taken, flattened
   std::vector<std::size_t> offsets_;  // full-trace mode: size()+1 fenceposts
+  std::vector<OrbitHop> orbit_;       // hops since Brent's saved state
   std::size_t delivered_ = 0;
   TraceMode mode_ = TraceMode::kStats;
 };
@@ -240,9 +273,11 @@ void route_batch(const Network& net, ForwardingProtocol& protocol,
 /// Demand-weighted variant: flow f additionally contributes demands[f] packets
 /// per second of offered load to every dart it traverses -- including the
 /// partial path of a dropped flow, whose packets occupy real transmitters
-/// before being lost.  `load` is reset to this batch's load (sized for the
-/// network's graph; capacity is reused, so the hot loop stays allocation-free
-/// once warm).  Routing outcomes in `out` are identical to the plain overload.
+/// before being lost.  A dart crossed k times is charged k x demands[f]; an
+/// orbit (see the top of this header) is charged that way in one step, so
+/// the sum equals the per-hop charge exactly on the demand grid.  `load` is
+/// reset to this batch's load (sized for the network's graph; capacity is
+/// reused, so the hot loop stays allocation-free once warm).  Routing outcomes in `out` are identical to the plain overload.
 /// Throws std::invalid_argument when demands.size() != flows.size().
 void route_batch(const Network& net, ForwardingProtocol& protocol,
                  std::span<const FlowSpec> flows, std::span<const double> demands,

@@ -169,13 +169,15 @@ class GroupIncidence {
 };
 
 /// Per-worker scratch for incremental sweep cells (the affected-flow
-/// (mark, out) probe pair and the compacted re-route list).  Lives in
-/// sim::WorkerContext (and in the exhaustive storm oracle's loop) so the
-/// per-scenario hot loop reuses capacity.
+/// (mark, out) probe pair, the compacted re-route list and the load it
+/// charges).  Lives in sim::WorkerContext (and in the exhaustive storm
+/// oracle's loop) so the per-scenario hot loop reuses capacity.
 struct IncidenceScratch {
   std::vector<std::uint8_t> affected_mark;  ///< per-flow affectedness flags
   std::vector<std::uint32_t> affected;      ///< affected flow ids, ascending
   std::vector<sim::FlowSpec> flows;         ///< compacted specs for re-routing
+  std::vector<double> demands;              ///< their rates, same order
+  LoadMap reroute;                          ///< load of the re-routed flows
 };
 
 }  // namespace pr::traffic

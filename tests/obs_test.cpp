@@ -47,18 +47,25 @@ TEST(ObsCounters, AddGetMergeReset) {
   Counters a;
   a.add(Counter::kSpfTreeRepairs);
   a.add(Counter::kSpfTreeRepairs, 4);
+  a.add(Counter::kForwardHops, 236);
+  a.add(Counter::kForwardDecisions, 9);
   a.add_phase(Phase::kUnit, 100);
   a.add_phase(Phase::kUnit, 50);
   EXPECT_EQ(a.get(Counter::kSpfTreeRepairs), 5u);
+  EXPECT_EQ(a.get(Counter::kForwardHops), 236u);
+  EXPECT_EQ(a.get(Counter::kForwardDecisions), 9u);
   EXPECT_EQ(a.phase_nanos(Phase::kUnit), 150u);
   EXPECT_EQ(a.phase_calls(Phase::kUnit), 2u);
 
   Counters b;
   b.add(Counter::kSpfTreeRepairs, 10);
   b.add(Counter::kRouteCacheHits, 3);
+  b.add(Counter::kForwardDecisions, 1);
   b.merge(a);
   EXPECT_EQ(b.get(Counter::kSpfTreeRepairs), 15u);
   EXPECT_EQ(b.get(Counter::kRouteCacheHits), 3u);
+  EXPECT_EQ(b.get(Counter::kForwardHops), 236u);
+  EXPECT_EQ(b.get(Counter::kForwardDecisions), 10u);
   EXPECT_EQ(b.phase_nanos(Phase::kUnit), 150u);
 
   b.reset();

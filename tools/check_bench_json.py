@@ -90,7 +90,9 @@ REQUIRED_KEYS = {
         "telemetry",
         "cache_hit_rate",
         "repair_fraction",
+        "hops_per_decision",
         "counters",
+        "forward_decisions",
         "per_worker",
         "utilization",
         "telemetry_overhead_fraction",

@@ -116,6 +116,7 @@ class SchemaCheckTest(unittest.TestCase):
         problems = self.check_doc({"bench": "failure_storms"})
         missing = " ".join(problems)
         for key in ("telemetry", "cache_hit_rate", "repair_fraction",
+                    "hops_per_decision", "forward_decisions",
                     "per_worker", "utilization", "telemetry_overhead_fraction",
                     "telemetry_bit_identical"):
             self.assertIn(f'"{key}"', missing)
