@@ -9,7 +9,7 @@
 // Re-cycling against plain SPF is reproducible for any thread count.
 //
 //   $ ./failure_storm [seed] [replicas] [threads]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <vector>
 
@@ -50,12 +50,14 @@ struct StormResult {
 int main(int argc, char** argv) {
   using namespace pr;
 
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
-  // Validated like the thread count: replicas sizes an allocation, so a
-  // "-1" wrapped through strtoull must not become 2^64-1 storms.
+  // Validated like the thread count: junk such as "abc" must not silently
+  // become seed 0, and replicas sizes an allocation, so a "-1" wrapped
+  // through strtoull must not become 2^64-1 storms.
+  std::size_t seed = 42;
   std::size_t replicas = 4;
-  if (argc > 2 &&
-      (!sim::parse_count_arg(argv[2], 1000000, replicas) || replicas == 0)) {
+  if ((argc > 1 && !sim::parse_count_arg(argv[1], UINT64_MAX, seed)) ||
+      (argc > 2 &&
+       (!sim::parse_count_arg(argv[2], 1000000, replicas) || replicas == 0))) {
     std::cerr << "usage: failure_storm [seed] [replicas, 1..1000000] [threads]\n";
     return 1;
   }

@@ -4,11 +4,9 @@ namespace pr::analysis {
 
 namespace {
 
-/// Non-owning adapter so factories can hand out suite- or cache-owned
-/// protocol instances through the unique_ptr-returning factory interface.
-/// The referenced protocol must outlive the scenario (suite members do by
-/// contract; cache-owned ones live until the cache's next different-scenario
-/// call, exactly the borrowing rule ScenarioRoutingCache documents).
+/// Non-owning adapter so factories can hand out suite-owned protocol
+/// instances through the unique_ptr-returning factory interface.  The suite
+/// outlives every scenario by contract.
 class BorrowedProtocol final : public net::ForwardingProtocol {
  public:
   explicit BorrowedProtocol(net::ForwardingProtocol& inner) : inner_(&inner) {}
@@ -30,33 +28,6 @@ class BorrowedProtocol final : public net::ForwardingProtocol {
 
  private:
   net::ForwardingProtocol* inner_;
-};
-
-/// Owning per-scenario variant for drivers without a cache: converged tables
-/// for the network's current failure set plus the alternates derived from
-/// them.
-class PostConvergenceLfa final : public net::ForwardingProtocol {
- public:
-  PostConvergenceLfa(const net::Network& net, route::DiscriminatorKind kind)
-      : db_(net.graph(), &net.failed_links(), kind),
-        lfa_(db_, route::LfaKind::kLinkProtecting) {}
-
-  [[nodiscard]] net::ForwardingDecision forward(const net::Network& net,
-                                                graph::NodeId at,
-                                                graph::DartId arrived_over,
-                                                net::Packet& packet) override {
-    return lfa_.forward(net, at, arrived_over, packet);
-  }
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return lfa_.name();
-  }
-
-  [[nodiscard]] bool header_determines_path() const noexcept override { return true; }
-
- private:
-  route::RoutingDb db_;
-  route::LfaRouting lfa_;
 };
 
 }  // namespace
@@ -132,25 +103,6 @@ NamedFactory ProtocolSuite::lfa_node_protecting() const {
   return {"LFA (node-protecting)", [this](const net::Network&) {
             return std::make_unique<BorrowedProtocol>(lfa_node_);
           }};
-}
-
-NamedFactory ProtocolSuite::lfa_post_convergence() const {
-  NamedFactory factory;
-  factory.name = "LFA (post-convergence)";
-  const auto kind = routes_.discriminator_kind();
-  // Reference path: fresh converged tables + fresh alternate derivation.
-  factory.make = [kind](const net::Network& net) {
-    return std::make_unique<PostConvergenceLfa>(net, kind);
-  };
-  // Sweep path: delta-repaired tables + incrementally resynced alternates,
-  // both borrowed from the driver's cache.
-  factory.make_cached = [kind](const net::Network& net,
-                               route::ScenarioRoutingCache& cache) {
-    return std::make_unique<BorrowedProtocol>(
-        cache.lfa(net.graph(), net.failed_links(),
-                  route::LfaKind::kLinkProtecting, kind));
-  };
-  return factory;
 }
 
 NamedFactory ProtocolSuite::spf() const {

@@ -44,12 +44,6 @@ class ProtocolSuite {
   [[nodiscard]] NamedFactory pr_single_bit() const;
   [[nodiscard]] NamedFactory lfa() const;
   [[nodiscard]] NamedFactory lfa_node_protecting() const;
-  /// LFA with PER-SCENARIO alternates: the classic variants above derive
-  /// alternates from the pristine tables once (what a router knows before
-  /// convergence); this one re-derives them from the scenario's converged
-  /// tables -- fresh per scenario via `make`, incrementally resynced through
-  /// ScenarioRoutingCache::lfa() via `make_cached`.
-  [[nodiscard]] NamedFactory lfa_post_convergence() const;
   [[nodiscard]] NamedFactory spf() const;
 
   /// The trio the paper's Figure 2 compares, in plot order.

@@ -17,10 +17,6 @@ PrHeaderLayout PrHeaderLayout::for_hop_diameter(std::uint32_t diameter) noexcept
   return PrHeaderLayout{bits_for_value(diameter)};
 }
 
-PrHeaderLayout PrHeaderLayout::for_max_dd(std::uint64_t max_dd) noexcept {
-  return PrHeaderLayout{bits_for_value(max_dd)};
-}
-
 std::uint8_t encode_dscp(const PrHeaderLayout& layout, bool pr_bit, std::uint32_t dd) {
   if (layout.total_bits() > 4) {
     throw std::invalid_argument(

@@ -26,9 +26,6 @@ struct PrHeaderLayout {
   /// `diameter` (DD values range over 0..diameter).
   [[nodiscard]] static PrHeaderLayout for_hop_diameter(std::uint32_t diameter) noexcept;
 
-  /// Layout sized for an arbitrary maximum DD value (weighted discriminators).
-  [[nodiscard]] static PrHeaderLayout for_max_dd(std::uint64_t max_dd) noexcept;
-
   [[nodiscard]] unsigned total_bits() const noexcept { return 1 + dd_bits; }
 
   /// True when the header fits in the 4 free bits of a DSCP pool-2 codepoint.

@@ -30,27 +30,12 @@ class LfaRouting final : public net::ForwardingProtocol {
  public:
   /// Precomputes primary next hops and the best (lowest alternate-path cost)
   /// loop-free alternate per (router, destination).  `routes` must outlive
-  /// the protocol; the alternates reflect whatever scenario its tables hold
-  /// at this moment (historically always pristine -- per-scenario alternate
-  /// sets now come from resync() via ScenarioRoutingCache::lfa()).
+  /// the protocol and must not be rebuilt while it is in use: forward() reads
+  /// the live primary next hops, the alternates are fixed at construction.
+  /// Built over the pristine tables this is what a router knows before
+  /// re-convergence, the view RFC 5286 assumes.
   explicit LfaRouting(const RoutingDb& routes,
                       LfaKind kind = LfaKind::kLinkProtecting);
-
-  /// Incrementally re-derives the alternates after the underlying tables were
-  /// rebuilt to a new failure scenario, with results bit-identical to
-  /// constructing a fresh LfaRouting over the rebuilt db.  Pair (v, t) reads
-  /// only table columns t, v and -- node-protecting -- the primary next hop's
-  /// column, so the only pairs recomputed are those touching a column that is
-  /// dirty now or was dirty at the previous sync; everything else provably
-  /// kept its value.  Cost: one O(n^2) flag scan plus the touched pairs'
-  /// neighbour loops, instead of every pair's.
-  void resync();
-
-  /// Instrumentation: resync() invocations and pairs recomputed by them.
-  [[nodiscard]] std::uint64_t resyncs() const noexcept { return resyncs_; }
-  [[nodiscard]] std::uint64_t pairs_recomputed() const noexcept {
-    return pairs_recomputed_;
-  }
 
   [[nodiscard]] net::ForwardingDecision forward(const net::Network& net, NodeId at,
                                                 DartId arrived_over,
@@ -60,7 +45,8 @@ class LfaRouting final : public net::ForwardingProtocol {
     return kind_ == LfaKind::kLinkProtecting ? "lfa" : "lfa-node-protecting";
   }
 
-  /// Alternates change only through resync(), never while a batch forwards.
+  /// Alternates are fixed at construction, so a decision depends only on
+  /// the node, the destination and which links are up.
   [[nodiscard]] bool header_determines_path() const noexcept override { return true; }
 
   [[nodiscard]] LfaKind kind() const noexcept { return kind_; }
@@ -86,13 +72,6 @@ class LfaRouting final : public net::ForwardingProtocol {
   const RoutingDb* routes_;
   LfaKind kind_;
   std::vector<DartId> alternate_;
-
-  /// The dirty-destination set the alternates were last derived against
-  /// (resync unions it with the tables' current one to find stale pairs).
-  std::vector<NodeId> synced_dirty_;
-  std::vector<std::uint8_t> col_flag_;  ///< resync scratch, node-indexed
-  std::uint64_t resyncs_ = 0;
-  std::uint64_t pairs_recomputed_ = 0;
 };
 
 }  // namespace pr::route

@@ -59,9 +59,8 @@ class RoutingDb {
   void rebuild(const graph::EdgeSet& excluded, graph::SpfWorkspace& workspace);
 
   /// Destinations whose columns currently differ from the pristine tables
-  /// (empty when never rebuilt or after an empty-set rebuild).  Consumers:
-  /// sparse per-router overlays (route::RouterTableOverlay) and incremental
-  /// LFA alternate resync.
+  /// (empty when never rebuilt or after an empty-set rebuild).  Consumer:
+  /// sparse per-router overlays (route::RouterTableOverlay).
   [[nodiscard]] std::span<const NodeId> dirty_destinations() const noexcept {
     return dirty_dests_;
   }

@@ -23,8 +23,14 @@ namespace pr::traffic {
 /// What one (scenario, protocol) cell of a traffic sweep experienced.
 struct CongestionMetrics {
   /// max over interfaces of load / capacity (0 when nothing was loaded).
+  /// Both utilization fields count every dart a packet crossed, including
+  /// those of packets that never reach their destination and loop until TTL
+  /// expiry: such a flow adds crossings(ttl) x demand to its orbit's darts,
+  /// which grows linearly in net::default_ttl.  Reporting that stranded loop
+  /// load apart from the headline is open (ROADMAP item B, "Reporting").
   double max_utilization = 0.0;
-  /// Links (edges) with at least one direction loaded above capacity.
+  /// Links (edges) with at least one direction loaded above capacity (same
+  /// loop load included as above).
   std::size_t overloaded_links = 0;
   double offered_pps = 0.0;    ///< total demand routed into the scenario
   double delivered_pps = 0.0;  ///< demand of delivered flows

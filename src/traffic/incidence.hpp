@@ -146,13 +146,6 @@ class GroupIncidence {
   }
   [[nodiscard]] std::size_t flow_count() const noexcept { return flow_count_; }
 
-  /// Flows whose pristine path crosses any member edge of `group`, sorted
-  /// ascending, deduped.
-  [[nodiscard]] std::span<const std::uint32_t> group_flows(std::size_t group) const {
-    return {group_flows_.data() + group_offsets_.at(group),
-            group_offsets_.at(group + 1) - group_offsets_.at(group)};
-  }
-
   /// Union over `groups`, same contract as FlowIncidenceIndex::affected_flows:
   /// `out` sorted ascending and deduped, `mark` (paired with `out`) sized to
   /// flow_count() with mark[f] != 0 exactly for collected flows.
@@ -166,6 +159,13 @@ class GroupIncidence {
   // Per-group incidence, CSR over flow ids (sorted, deduped per group).
   std::vector<std::size_t> group_offsets_;  ///< group_count()+1 fenceposts
   std::vector<std::uint32_t> group_flows_;
+
+  /// Flows whose pristine path crosses any member edge of `group`, sorted
+  /// ascending, deduped.
+  [[nodiscard]] std::span<const std::uint32_t> group_flows(std::size_t group) const {
+    return {group_flows_.data() + group_offsets_.at(group),
+            group_offsets_.at(group + 1) - group_offsets_.at(group)};
+  }
 };
 
 /// Per-worker scratch for incremental sweep cells (the affected-flow

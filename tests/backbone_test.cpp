@@ -1,9 +1,9 @@
 // Backbone-sweep equivalence suite: the tree repair of RoutingDb::rebuild
 // must be BIT-identical to the from-scratch oracle across generators,
 // partitioning failure sets and scenario sequences; cached sweeps must be bit-identical at any
-// thread count; incremental LFA resync must equal a fresh per-scenario
-// derivation; and the IGP's copy-on-write overlays must forward exactly like
-// full per-router tables while costing a fraction of their memory.
+// thread count and equal to sweeps over fresh per-scenario tables; and the
+// IGP's copy-on-write overlays must forward exactly like full per-router
+// tables while costing a fraction of their memory.
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -20,7 +20,6 @@
 #include "net/failure_model.hpp"
 #include "net/forwarding.hpp"
 #include "route/igp.hpp"
-#include "route/lfa.hpp"
 #include "route/overlay.hpp"
 #include "route/routing_db.hpp"
 #include "route/scenario_cache.hpp"
@@ -177,63 +176,6 @@ TEST(SweepDeterminism, CachedScenarioSweepBitIdenticalAcrossThreadCounts) {
   }
 }
 
-void expect_identical_alternates(const route::LfaRouting& actual,
-                                 const route::LfaRouting& expected,
-                                 const Graph& g, const std::string& context) {
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    for (NodeId t = 0; t < g.node_count(); ++t) {
-      ASSERT_EQ(actual.alternate(v, t), expected.alternate(v, t))
-          << context << ": alternate(" << v << ", " << t << ")";
-    }
-  }
-}
-
-TEST(LfaIncremental, DirectResyncMatchesFreshDerivation) {
-  graph::Rng rng(0xFA);
-  for (const route::LfaKind kind :
-       {route::LfaKind::kLinkProtecting, route::LfaKind::kNodeProtecting}) {
-    const Graph g = graph::random_two_edge_connected(14, 10, rng);
-    RoutingDb db(g);
-    route::LfaRouting lfa(db, kind);
-    graph::SpfWorkspace ws;
-    for (const auto& failures : scenario_sequence(g, rng)) {
-      db.rebuild(failures, ws);
-      lfa.resync();
-      const RoutingDb fresh(g, failures.empty() ? nullptr : &failures);
-      const route::LfaRouting want(fresh, kind);
-      expect_identical_alternates(lfa, want, g, "direct resync");
-      ASSERT_DOUBLE_EQ(lfa.alternate_coverage(), want.alternate_coverage());
-    }
-    EXPECT_GT(lfa.resyncs(), 0U);
-  }
-}
-
-TEST(LfaIncremental, CacheServesPerScenarioAlternates) {
-  graph::Rng rng(0xFB);
-  const Graph g = graph::erdos_renyi(13, 0.3, rng);
-  route::ScenarioRoutingCache cache;
-  for (const auto& failures : scenario_sequence(g, rng)) {
-    for (const route::LfaKind kind :
-         {route::LfaKind::kLinkProtecting, route::LfaKind::kNodeProtecting}) {
-      const route::LfaRouting& got = cache.lfa(g, failures, kind);
-      const RoutingDb fresh(g, failures.empty() ? nullptr : &failures);
-      const route::LfaRouting want(fresh, kind);
-      expect_identical_alternates(got, want, g, "cache lfa");
-    }
-  }
-  // Repeating a scenario verbatim is a pure hit: no extra pair recomputes.
-  const EdgeSet last = [&] {
-    EdgeSet s(g.edge_count());
-    s.insert(0);
-    return s;
-  }();
-  const auto& first = cache.lfa(g, last, route::LfaKind::kLinkProtecting);
-  const std::uint64_t pairs_before = first.pairs_recomputed();
-  const auto& again = cache.lfa(g, last, route::LfaKind::kLinkProtecting);
-  EXPECT_EQ(&first, &again);
-  EXPECT_EQ(again.pairs_recomputed(), pairs_before);
-}
-
 TEST(CowOverlay, OverlayRowEqualsRebuiltRowForEveryDestination) {
   graph::Rng rng(0xC0);
   const Graph g = graph::random_two_edge_connected(16, 12, rng);
@@ -307,19 +249,18 @@ TEST(CowOverlay, IgpForwardsLikeFullPerRouterTablesAfterConvergence) {
   EXPECT_LT(fx.igp.table_bytes(), naive_copies / 4);
 }
 
-// The post-convergence LFA factory's two paths -- fresh per-scenario tables
-// (`make`) and cache-served resynced alternates (`make_cached`) -- must
-// produce identical sweep results; and unlike the pristine-table variant the
-// alternates really do track the scenario.
-TEST(LfaIncremental, PostConvergenceFactoryPathsAgree) {
+// The re-convergence factory's two paths -- fresh per-scenario tables
+// (`make`) and the sweep worker's delta-repaired cache (`make_cached`) --
+// must produce identical sweep results.
+TEST(ReconvergenceFactory, CachedPathMatchesFreshTables) {
   const Graph g = topo::geant();
   const analysis::ProtocolSuite suite(g);
   const auto scenarios = net::all_single_failures(g);
 
-  std::vector<analysis::NamedFactory> fresh = {suite.lfa_post_convergence()};
+  std::vector<analysis::NamedFactory> fresh = {suite.reconvergence()};
   ASSERT_TRUE(fresh[0].make_cached != nullptr);
   fresh[0].make_cached = nullptr;  // forces the fresh-tables path
-  const std::vector<analysis::NamedFactory> cached = {suite.lfa_post_convergence()};
+  const std::vector<analysis::NamedFactory> cached = {suite.reconvergence()};
 
   const auto fresh_result = analysis::run_stretch_experiment(g, scenarios, fresh);
   const auto cached_result = analysis::run_stretch_experiment(g, scenarios, cached);
@@ -331,11 +272,9 @@ TEST(LfaIncremental, PostConvergenceFactoryPathsAgree) {
   EXPECT_EQ(f.dropped_partitioned, c.dropped_partitioned);
   EXPECT_EQ(f.stretches, c.stretches);  // bit-exact doubles
 
-  // Post-convergence alternates come from converged tables, so delivery must
-  // be at least as good as the pristine-table variant's on the same sweep.
-  const auto pristine_result =
-      analysis::run_stretch_experiment(g, scenarios, {suite.lfa()});
-  EXPECT_GE(c.delivered, pristine_result.protocols[0].delivered);
+  // Converged tables route every pair the failure leaves connected.
+  EXPECT_EQ(c.dropped_reachable, 0U);
+  EXPECT_GT(c.delivered, 0U);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // partitioning failure sets, and arbitrary rebuild sequences; and rebuilding
 // with the empty set must restore the pristine tables exactly.
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,15 +182,26 @@ TEST(SpfIncremental, RebuildSequencesAndPristineRestore) {
   expect_identical_tables(db, pristine, "pristine restore");
 }
 
-TEST(SpfIncremental, RealTopologiesSingleFailures) {
+TEST(SpfIncremental, RealAndGeneratedTopologiesSingleAndTripleFailures) {
+  // The paper topologies plus two generated graphs well past their size, each
+  // under every single failure and then a sample of 3-link failure sets.
+  graph::Rng topo_rng(0x5bf);
   for (const auto& [name, g] :
        {std::pair{"abilene", topo::abilene()}, {"teleglobe", topo::teleglobe()},
-        {"geant", topo::geant()}}) {
+        {"geant", topo::geant()}, {"grid-10x10", graph::grid(10, 10)},
+        {"2ec-60", graph::random_two_edge_connected(60, 45, topo_rng)}}) {
     RoutingDb db(g);
     graph::SpfWorkspace ws;
     for (const auto& failures : net::all_single_failures(g)) {
       db.rebuild(failures, ws);
-      expect_identical_tables(db, RoutingDb(g, &failures), name);
+      expect_identical_tables(db, RoutingDb(g, &failures),
+                              std::string(name) + " single");
+    }
+    graph::Rng rng(0x5bf1);
+    for (const auto& failures : net::sample_any_failures(g, 3, 20, rng)) {
+      db.rebuild(failures, ws);
+      expect_identical_tables(db, RoutingDb(g, &failures),
+                              std::string(name) + " triple");
     }
   }
 }

@@ -19,25 +19,6 @@ import json
 import sys
 
 REQUIRED_KEYS = {
-    "route_batch": [
-        "topology",
-        "results",
-        "batch_stats_ns_per_flow",
-        "batch_full_trace_ns_per_flow",
-        "speedup_stats_vs_per_packet",
-    ],
-    "parallel_sweep": [
-        "threads",
-        "scenarios",
-        "serial_ms",
-        "speedup_vs_serial",
-    ],
-    "spf_incremental": [
-        "topologies",
-        "incremental_ms",
-        "full_ms",
-        "geomean_speedup_single_geant_or_larger",
-    ],
     "traffic_sweep": [
         "topologies",
         "demand_quantum_pps",
