@@ -46,6 +46,10 @@ struct FaceSet {
 /// Always a non-negative integer for a valid face set.
 [[nodiscard]] int euler_genus(const Graph& g, const FaceSet& faces);
 
+/// The same from a face count alone, for callers that track faces
+/// incrementally.
+[[nodiscard]] int euler_genus(const Graph& g, std::size_t face_count);
+
 /// Convenience: trace + genus in one call.
 [[nodiscard]] int genus_of(const RotationSystem& rot);
 

