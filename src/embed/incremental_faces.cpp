@@ -84,21 +84,21 @@ void IncrementalFaces::move(NodeId v, std::size_t take, std::size_t put) {
   // An edge with one dart off the touched faces is never self-paired before
   // or after: each label is a dart of its own face.
   std::array<DartId, 3> old_labels{};
-  std::size_t old_count = 0;
-  std::size_t old_self_paired = 0;
+  std::size_t faces_before = 0;
+  std::size_t self_paired_before = 0;
   for (const SigmaChange& c : changed_) {
     const DartId start = graph::reverse(c.dart);
     const DartId label = label_[start];
-    if (std::find(old_labels.begin(), old_labels.begin() + old_count, label) !=
-        old_labels.begin() + old_count) {
+    if (std::find(old_labels.begin(), old_labels.begin() + faces_before, label) !=
+        old_labels.begin() + faces_before) {
       continue;
     }
-    old_labels[old_count++] = label;
+    old_labels[faces_before++] = label;
     DartId d = start;
     do {
       touched_.push_back(d);
       touched_label_.push_back(label);
-      if (graph::dart_side(d) == 0 && label_[graph::reverse(d)] == label) ++old_self_paired;
+      if (graph::dart_side(d) == 0 && label_[graph::reverse(d)] == label) ++self_paired_before;
       d = phi(d);
     } while (d != start);
   }
@@ -107,22 +107,22 @@ void IncrementalFaces::move(NodeId v, std::size_t take, std::size_t put) {
   // touched darts exactly, since every other face keeps its phi.
   for (const SigmaChange& c : changed_) next_[c.dart] = c.new_next;
   for (DartId d : touched_) label_[d] = graph::kInvalidDart;
-  std::size_t new_count = 0;
-  std::size_t new_self_paired = 0;
+  std::size_t faces_after = 0;
+  std::size_t self_paired_after = 0;
   for (const SigmaChange& c : changed_) {
     const DartId start = graph::reverse(c.dart);
     if (label_[start] != graph::kInvalidDart) continue;
-    ++new_count;
+    ++faces_after;
     DartId d = start;
     do {
       label_[d] = start;
       // Counted once, when the second dart of the edge joins this face.
-      if (label_[graph::reverse(d)] == start) ++new_self_paired;
+      if (label_[graph::reverse(d)] == start) ++self_paired_after;
       d = phi(d);
     } while (d != start);
   }
-  faces_ = faces_ - old_count + new_count;
-  self_paired_ = self_paired_ - old_self_paired + new_self_paired;
+  faces_ = faces_ - faces_before + faces_after;
+  self_paired_ = self_paired_ - self_paired_before + self_paired_after;
 }
 
 void IncrementalFaces::revert() {
